@@ -1,4 +1,4 @@
-"""Sparse graph Laplacians built from the image being reconstructed.
+"""Graph Laplacians built from the image being reconstructed.
 
 Pixels are graph nodes.  Two pixels are connected when their lattice distance
 (manhattan or chebyshev) is positive and at most ``radius``; the edge weight is
@@ -6,26 +6,31 @@ a Gaussian similarity of the two pixel values,
 
     w(a, b) = exp(-(u(a) - u(b))^2 / sigma).
 
-The Laplacian is Delta = D - W with D the diagonal degree matrix.  Because the
-weights depend on the image, the operator is rebuilt whenever the iterate
-changes; the sparsity structure only depends on the grid shape, the metric and
-floor(radius), so it is computed once and cached, and a rebuild just
-re-evaluates the weight of every stored edge.
+The Laplacian is Delta = D - W with D the diagonal degree matrix, so
+(Delta x)(a) = sum_b w(a, b) (x(a) - x(b)).  Because the weights depend on the
+image, the operator is rebuilt whenever the iterate changes.  It is held as a
+stencil, the nonlocal-graph form of Gilboa & Osher (2008): one weight band per
+lattice offset (di, dj) of the half-set (84 offsets for chebyshev R = 6).
+Since w(a, b) = w(b, a), each weight is evaluated once, on the contiguous flat
+slices u[:n - s] and u[s:] with s = di * width + dj, and an apply scatters it
+to both pixels of the pair.  Nothing is cached between builds.
 
-Weights are kept however small they are (they are strictly positive), so the
-stored structure, and with it the cost of an apply, is identical across
-rebuilds.
+The explicit sparse W, the degrees and the (i, j, w) triplets are assembled
+from the same bands only when asked for (the graph dumps and the tests); the
+solver never builds them.  Weights are kept however small they are, so the
+exported structure holds every within-radius pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeMismatch
 from .grid import ImageGrid
 
 METRICS = ("manhattan", "chebyshev")
@@ -71,69 +76,116 @@ def _offsets(metric: str, r: int):
     return offs
 
 
-@dataclass(frozen=True)
-class _Structure:
-    rows: np.ndarray
-    cols: np.ndarray
-    indptr: np.ndarray
+def _bands(image: ImageGrid, config: GraphConfig):
+    """One weight band per offset of the half-set, as (dj, s, w) tuples.
 
-
-_STRUCTURE_CACHE: dict[tuple, _Structure] = {}
-
-
-def _structure(height: int, width: int, metric: str, r: int) -> _Structure:
-    key = (height, width, metric, r)
-    cached = _STRUCTURE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    The half-set holds the offsets with di > 0, or di == 0 and dj > 0, so
+    each unordered pixel pair is met once.  Offsets that fit no pair on this
+    grid (|di| >= height or |dj| >= width) are skipped, which makes the flat
+    shift s = di * width + dj at least 1.  ``w[p]`` is the weight of pixels p
+    and p + s; it is 0 where that pair wraps across a row edge, so ``w`` has
+    length n - s.  On grids narrower than 2R two offsets can share one shift,
+    which is why every band keeps its own dj.
+    """
+    height, width = image.shape
     n = height * width
-    row_parts, col_parts = [], []
-    for di, dj in _offsets(metric, r):
-        i0, i1 = max(0, -di), height - max(0, di)
-        j0, j1 = max(0, -dj), width - max(0, dj)
-        if i0 >= i1 or j0 >= j1:
+    flat = image.values.ravel()
+    r = math.floor(config.radius)
+    bands = []
+    for di, dj in _offsets(config.metric, r):
+        if di < 0 or (di == 0 and dj < 0) or di >= height or abs(dj) >= width:
             continue
-        ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
-        row_parts.append((ii * width + jj).ravel())
-        col_parts.append(((ii + di) * width + (jj + dj)).ravel())
-    if row_parts:
-        rows = np.concatenate(row_parts)
-        cols = np.concatenate(col_parts)
-        order = np.lexsort((cols, rows))
-        rows = rows[order].astype(np.int32)
-        cols = cols[order].astype(np.int32)
-    else:
-        rows = np.empty(0, dtype=np.int32)
-        cols = np.empty(0, dtype=np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    structure = _Structure(rows=rows, cols=cols, indptr=indptr)
-    _STRUCTURE_CACHE[key] = structure
-    return structure
+        s = di * width + dj
+        m = n - s
+        # the band is padded to n entries so its rows line up with the image
+        w = np.empty(n, dtype=np.float64)
+        d = w[:m]
+        # exp(-(d * d) / sigma), evaluated in place
+        np.subtract(flat[:m], flat[s:], out=d)
+        np.multiply(d, d, out=d)
+        np.negative(d, out=d)
+        np.divide(d, config.sigma, out=d)
+        np.exp(d, out=d)
+        w[m:] = 0.0
+        rows = w.reshape(height, width)
+        if dj > 0:
+            rows[:, width - dj:] = 0.0
+        elif dj < 0:
+            rows[:, :-dj] = 0.0
+        bands.append((dj, s, d))
+    return tuple(bands)
+
+
+def _valid(height: int, width: int, dj: int, s: int) -> np.ndarray:
+    """Flat indices p whose pair (p, p + s) does not wrap across a row edge."""
+    p = np.arange(height * width - s)
+    col = p % width
+    return p[(col + dj >= 0) & (col + dj < width)]
 
 
 @dataclass(frozen=True, eq=False)
 class SparseLaplacian:
-    """Delta = D - W for one image, stored as CSR weights plus degrees."""
+    """Delta = D - W for one image, held as one weight band per lattice offset.
+
+    ``apply`` works on the bands directly.  The explicit matrix (``weights``,
+    ``degrees``, ``triplets``) is assembled from the same bands on first use
+    and kept with this Laplacian.
+    """
 
     height: int
     width: int
-    weights: sparse.csr_matrix
-    degrees: np.ndarray
+    bands: tuple
 
     @property
     def n(self) -> int:
         return self.height * self.width
 
     def apply(self, x: ImageGrid) -> ImageGrid:
-        """Apply Delta to an image of the matching shape."""
-        if x.shape != (self.height, self.width):
-            from .errors import ShapeMismatch
+        """Apply Delta to an image of the matching shape.
 
+        (Delta x)(a) = sum_b w(a, b) (x(a) - x(b)); each band adds its term to
+        the first pixel of every pair and subtracts it from the second.
+        """
+        if x.shape != (self.height, self.width):
             raise ShapeMismatch(f"image shape {x.shape} does not match grid ({self.height}, {self.width})")
         flat = x.values.ravel()
-        out = self.degrees * flat - self.weights @ flat
+        n = self.n
+        out = np.zeros(n, dtype=np.float64)
+        buf = np.empty(n, dtype=np.float64)
+        for _, s, w in self.bands:
+            m = n - s
+            t = buf[:m]
+            np.subtract(flat[:m], flat[s:], out=t)
+            t *= w
+            out[:m] += t
+            out[s:] -= t
         return ImageGrid(out.reshape(self.height, self.width))
+
+    @cached_property
+    def weights(self) -> sparse.csr_matrix:
+        """W as a CSR matrix: every within-radius pair in both directions,
+        zero weights included, columns sorted within each row."""
+        row_parts, col_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        val_parts = [np.empty(0, dtype=np.float64)]
+        for dj, s, w in self.bands:
+            p = _valid(self.height, self.width, dj, s)
+            row_parts += [p, p + s]
+            col_parts += [p + s, p]
+            val_parts += [w[p], w[p]]
+        rows, cols, vals = np.concatenate(row_parts), np.concatenate(col_parts), np.concatenate(val_parts)
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        n = self.n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return sparse.csr_matrix((vals, cols, indptr), shape=(n, n))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Row sums of W, accumulated left to right within each row."""
+        degrees = self.weights @ np.ones(self.n)
+        degrees.setflags(write=False)
+        return degrees
 
     def triplets(self):
         """Stored edges as (rows, cols, weights) arrays in row-major order."""
@@ -144,25 +196,12 @@ class SparseLaplacian:
 def build_laplacian(image: ImageGrid, config: GraphConfig) -> SparseLaplacian:
     """Build the graph Laplacian of ``image`` under ``config``.
 
-    Runs in O(nnz): the cached structure supplies every within-radius pixel
-    pair, and one vectorized pass evaluates the Gaussian weights.  Degrees are
-    per-row sums of the weights, accumulated left to right within each row.
+    One pass per offset of the half-set evaluates every weight once, on
+    contiguous shifted slices of the flattened image; no index arrays are
+    gathered and nothing is cached between builds.
     """
     height, width = image.shape
-    st = _structure(height, width, config.metric, math.floor(config.radius))
-    flat = image.values.ravel()
-    diff = flat[st.rows] - flat[st.cols]
-    data = np.exp(-(diff * diff) / config.sigma)
-    n = height * width
-    if data.size:
-        starts = np.minimum(st.indptr[:-1], data.size - 1)
-        degrees = np.add.reduceat(data, starts)
-        degrees[st.indptr[:-1] == st.indptr[1:]] = 0.0
-    else:
-        degrees = np.zeros(n, dtype=np.float64)
-    weights = sparse.csr_matrix((data, st.cols, st.indptr), shape=(n, n))
-    degrees.setflags(write=False)
-    return SparseLaplacian(height=height, width=width, weights=weights, degrees=degrees)
+    return SparseLaplacian(height=height, width=width, bands=_bands(image, config))
 
 
 def lipschitz_constant(config: GraphConfig, height: int, width: int) -> float:

@@ -9,6 +9,7 @@ separable zero-padded convolution with symmetric taps (hence self-adjoint).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,14 +73,9 @@ class RadonGeometry:
         return np.arange(d) - (d - 1) / 2.0
 
 
-_RADON_CACHE: dict[tuple[int, int], tuple[sparse.csr_matrix, sparse.csr_matrix]] = {}
-
-
+@functools.lru_cache(maxsize=4)  # geometries whose matrices are kept
 def _radon_matrices(geometry: RadonGeometry):
-    key = (geometry.image_size, geometry.num_angles)
-    cached = _RADON_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Forward and back-projection matrices, cached per geometry."""
     size = geometry.image_size
     d = geometry.num_detectors
     center = (size - 1) / 2.0
@@ -93,11 +89,13 @@ def _radon_matrices(geometry: RadonGeometry):
         # sample points of all (detector, step) pairs for this angle
         px = center + offsets[:, None] * cos_t - steps[None, :] * sin_t
         py = center + offsets[:, None] * sin_t + steps[None, :] * cos_t
-        x0 = np.floor(px).astype(np.int64)
-        y0 = np.floor(py).astype(np.int64)
+        # int32 indices, as the CSR matrix stores them: half the bytes to
+        # gather, concatenate and sort during assembly
+        x0 = np.floor(px).astype(np.int32)
+        y0 = np.floor(py).astype(np.int32)
         fx = px - x0
         fy = py - y0
-        ray = t * d + np.broadcast_to(np.arange(d)[:, None], px.shape)
+        ray = t * d + np.broadcast_to(np.arange(d, dtype=np.int32)[:, None], px.shape)
         for dx, wx in ((0, 1.0 - fx), (1, fx)):
             for dy, wy in ((0, 1.0 - fy), (1, fy)):
                 xc = x0 + dx
@@ -114,7 +112,6 @@ def _radon_matrices(geometry: RadonGeometry):
         (vals, (rows, cols)), shape=(geometry.num_angles * d, size * size)
     ).tocsr()
     back = forward.T.tocsr()
-    _RADON_CACHE[key] = (forward, back)
     return forward, back
 
 
@@ -137,14 +134,6 @@ class RadonTransform(LinearOperator):
             raise ShapeMismatch(f"expected a Sinogram of shape {self.range_shape}")
         out = self._back @ s.values.ravel()
         return ImageGrid(out.reshape(self.domain_shape))
-
-
-def radon_apply(geometry: RadonGeometry, u: ImageGrid) -> Sinogram:
-    return RadonTransform(geometry).apply(u)
-
-
-def radon_adjoint(geometry: RadonGeometry, s: Sinogram) -> ImageGrid:
-    return RadonTransform(geometry).adjoint(s)
 
 
 @dataclass(frozen=True)
@@ -199,14 +188,6 @@ class GaussianBlur(LinearOperator):
     def adjoint(self, s: ImageGrid) -> ImageGrid:
         self._check_domain(s)
         return ImageGrid(self._correlate(s.values))
-
-
-def blur_apply(kernel: BlurKernel, u: ImageGrid) -> ImageGrid:
-    return GaussianBlur(kernel, u.height).apply(u)
-
-
-def blur_adjoint(kernel: BlurKernel, s: ImageGrid) -> ImageGrid:
-    return GaussianBlur(kernel, s.height).adjoint(s)
 
 
 class ScaledIdentity(LinearOperator):

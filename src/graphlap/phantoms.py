@@ -38,20 +38,35 @@ SHEPP_LOGAN_ELLIPSES = (
 
 
 def rasterize_ellipses(size: int, ellipses) -> ImageGrid:
-    """Accumulate ellipse intensities over pixel centers, clamped to [0, 1]."""
+    """Accumulate ellipse intensities over pixel centers, clamped to [0, 1].
+
+    Each ellipse is tested only on the pixels of its axis-aligned bounding
+    box, padded by one pixel; every pixel outside that box is outside the
+    ellipse, so the result equals a test over the whole grid.
+    """
     if size < 1:
         raise ConfigurationError(f"size must be >= 1, got {size}")
     # pixel centers on [-1, 1]^2, y axis pointing up
     xs = (2.0 * np.arange(size) + 1.0) / size - 1.0
-    x, y = np.meshgrid(xs, -xs, indexing="xy")
     out = np.zeros((size, size), dtype=np.float64)
     for value, axis_x, axis_y, cx, cy, phi_deg in ellipses:
         phi = np.deg2rad(phi_deg)
-        dx, dy = x - cx, y - cy
-        major = dx * np.cos(phi) + dy * np.sin(phi)
-        minor = -dx * np.sin(phi) + dy * np.cos(phi)
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        half_x = np.hypot(axis_x * cos_phi, axis_y * sin_phi)
+        half_y = np.hypot(axis_x * sin_phi, axis_y * cos_phi)
+        j0 = max(int(np.searchsorted(xs, cx - half_x)) - 1, 0)
+        j1 = min(int(np.searchsorted(xs, cx + half_x, side="right")) + 1, size)
+        # row i holds y = -xs[i]
+        i0 = max(int(np.searchsorted(xs, -cy - half_y)) - 1, 0)
+        i1 = min(int(np.searchsorted(xs, -cy + half_y, side="right")) + 1, size)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        dx = xs[None, j0:j1] - cx
+        dy = -xs[i0:i1, None] - cy
+        major = dx * cos_phi + dy * sin_phi
+        minor = -dx * sin_phi + dy * cos_phi
         inside = (major / axis_x) ** 2 + (minor / axis_y) ** 2 <= 1.0
-        out[inside] += value
+        out[i0:i1, j0:j1][inside] += value
     return ImageGrid(np.clip(out, 0.0, 1.0))
 
 

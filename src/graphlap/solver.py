@@ -17,8 +17,10 @@ so index 0 can already satisfy it) or after ``max_iter`` updates.
 
 The diagnostic constant C = eta - eta1/tau - nu0 (wp + nu1) - eta0 eta1, with
 eta = min(eta0 / ||A||^2, eta1) computed from a safety-padded operator norm
-estimate, guarantees monotone error decay when positive; a non-positive value
-only logs a warning because the decay is routinely observed regardless.
+estimate, guarantees monotone error decay when positive.  Every solve logs one
+INFO line with wp (and whether it was defaulted), C and the norm estimate; a
+non-positive C is routine at the defaults and is reported there, not warned
+about.  A norm estimate that did not converge logs a WARNING.
 """
 
 from __future__ import annotations
@@ -159,13 +161,14 @@ def solve(
     u = initial_reconstruction(A, v_data, psi)
     norm_est = estimate_operator_norm(A, iterations=100, tol=1e-8, seed=_NORM_SEED)
     eta = eta_floor(params, norm_est.value)
-    wp = params.wp
-    if wp is None:
-        wp = norm(u)
-        logger.warning("wp not supplied; defaulting to ||u0|| = %.6g", wp)
+    if not norm_est.converged:
+        logger.warning("operator norm estimate %.6g did not converge in %d power iterations",
+                       norm_est.value, norm_est.iterations)
+    wp = params.wp if params.wp is not None else norm(u)
     c_value = constant_c(params, eta, wp)
-    if c_value <= 0:
-        logger.warning("monotonicity constant C = %.6g is not positive; continuing anyway", c_value)
+    logger.info("wp = %.6g (%s), C = %.6g (%s), ||A|| estimate = %.6g",
+                wp, "given" if params.wp is not None else "defaulted to ||u0||",
+                c_value, "positive" if c_value > 0 else "not positive", norm_est.value)
 
     threshold = params.tau * delta
     trace: list[IterateRecord] = []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import graphlap as gl
-from graphlap.graph import _structure
 
 DEMO = gl.ImageGrid([[0.2, 0.3], [0.5, 0.1]])
 DEMO_CFG = gl.GraphConfig(radius=1.0, sigma=0.01, metric="manhattan")
@@ -119,10 +118,17 @@ class TestBuild:
         assert np.array_equal(a.weights.data, b.weights.data)
         assert np.array_equal(a.degrees, b.degrees)
 
-    def test_structure_is_cached_per_shape_metric_radius(self):
-        s1 = _structure(7, 8, "chebyshev", 2)
-        s2 = _structure(7, 8, "chebyshev", 2)
-        assert s1 is s2
+    @pytest.mark.parametrize("shape", [(5, 6), (3, 20), (1, 9), (9, 1)])
+    def test_apply_matches_brute_force_on_narrow_grids(self, shape):
+        # grids narrower than 2R, where two offsets can share one flat shift
+        # (e.g. (0, 3) and (1, -3) at width 6); x differs from the image
+        rng = np.random.Generator(np.random.Philox(14))
+        for cfg in CONFIGS:
+            img = gl.ImageGrid(rng.random(shape))
+            x = gl.ImageGrid(rng.random(shape))
+            got = gl.build_laplacian(img, cfg).apply(x).values.ravel()
+            expected = brute_force_laplacian(img, cfg) @ x.values.ravel()
+            assert np.allclose(got, expected, rtol=0, atol=1e-13)
 
     def test_triplets_sorted_row_major(self):
         rng = np.random.Generator(np.random.Philox(13))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphlap as gl
-from graphlap.operators import _RADON_CACHE, blur_adjoint, blur_apply, radon_adjoint, radon_apply
+from graphlap.operators import _radon_matrices
 
 
 def dense_forward(A, n_pixels):
@@ -111,7 +111,11 @@ class TestRadonTransform:
         a = gl.RadonTransform(geom)
         b = gl.RadonTransform(gl.RadonGeometry(8, 5))
         assert a._forward is b._forward
-        assert (8, 5) in _RADON_CACHE
+        assert _radon_matrices.cache_info().currsize >= 1
+        # bounded: a sweep over many geometries keeps only the latest few
+        for n in range(2, 2 + 2 * _radon_matrices.cache_info().maxsize):
+            gl.RadonTransform(gl.RadonGeometry(8, n))
+        assert _radon_matrices.cache_info().currsize == _radon_matrices.cache_info().maxsize
 
     def test_shape_validation(self):
         A = gl.RadonTransform(gl.RadonGeometry(8, 5))
@@ -119,15 +123,6 @@ class TestRadonTransform:
             A.apply(gl.ImageGrid(np.zeros((9, 9))))
         with pytest.raises(gl.ShapeMismatch):
             A.adjoint(gl.Sinogram(np.zeros((5, 99))))
-
-    def test_functional_wrappers_match_methods(self):
-        rng = np.random.Generator(np.random.Philox(33))
-        geom = gl.RadonGeometry(8, 5)
-        A = gl.RadonTransform(geom)
-        u = gl.ImageGrid(rng.random((8, 8)))
-        s = gl.Sinogram(rng.random(A.range_shape))
-        assert np.array_equal(radon_apply(geom, u).values, A.apply(u).values)
-        assert np.array_equal(radon_adjoint(geom, s).values, A.adjoint(s).values)
 
 
 class TestBlur:
@@ -181,14 +176,6 @@ class TestBlur:
         lhs = B.apply(gl.ImageGrid(3.0 * u.values - v.values))
         rhs = gl.axpy(3.0, B.apply(u), gl.scale(-1.0, B.apply(v)))
         assert gl.norm(gl.sub(lhs, rhs)) <= 1e-10 * max(gl.norm(rhs), 1e-30)
-
-    def test_functional_wrappers(self):
-        rng = np.random.Generator(np.random.Philox(38))
-        k = gl.BlurKernel(rho=1.0)
-        u = gl.ImageGrid(rng.random((12, 12)))
-        assert np.array_equal(blur_apply(k, u).values,
-                              gl.GaussianBlur(k, 12).apply(u).values)
-        assert np.array_equal(blur_adjoint(k, u).values, blur_apply(k, u).values)
 
     def test_invalid_size_rejected(self):
         with pytest.raises(gl.ConfigurationError):

@@ -7,6 +7,21 @@ import graphlap as gl
 from graphlap.phantoms import SHEPP_LOGAN_ELLIPSES, rasterize_ellipses, standard_normal_field
 
 
+def full_grid_ellipses(size, ellipses):
+    """Reference rasterizer: every ellipse tested on every pixel center."""
+    xs = (2.0 * np.arange(size) + 1.0) / size - 1.0
+    x, y = np.meshgrid(xs, -xs, indexing="xy")
+    out = np.zeros((size, size), dtype=np.float64)
+    for value, axis_x, axis_y, cx, cy, phi_deg in ellipses:
+        phi = np.deg2rad(phi_deg)
+        dx, dy = x - cx, y - cy
+        major = dx * np.cos(phi) + dy * np.sin(phi)
+        minor = -dx * np.sin(phi) + dy * np.cos(phi)
+        inside = (major / axis_x) ** 2 + (minor / axis_y) ** 2 <= 1.0
+        out[inside] += value
+    return np.clip(out, 0.0, 1.0)
+
+
 class TestPhantom:
     def test_values_in_unit_interval(self):
         vals = gl.shepp_logan(64).values
@@ -46,6 +61,26 @@ class TestPhantom:
     def test_invalid_size_rejected(self):
         with pytest.raises(gl.ConfigurationError):
             rasterize_ellipses(0, SHEPP_LOGAN_ELLIPSES)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 33, 64, 128, 255])
+    def test_bounding_box_matches_full_grid_on_shepp_logan(self, size):
+        assert np.array_equal(gl.shepp_logan(size).values,
+                              full_grid_ellipses(size, SHEPP_LOGAN_ELLIPSES))
+
+    def test_bounding_box_matches_full_grid_on_random_ellipses(self):
+        # centers may lie off the square and axes may be tiny or huge, so
+        # boxes are empty, clipped, sub-pixel or larger than the grid
+        rng = np.random.Generator(np.random.Philox(42))
+        for trial in range(200):
+            count = int(rng.integers(1, 6))
+            ellipses = tuple(
+                (float(rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(-2.5, 0.5)),
+                 float(10.0 ** rng.uniform(-2.5, 0.5)), float(rng.uniform(-1.5, 1.5)),
+                 float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-180.0, 180.0)))
+                for _ in range(count))
+            size = int(rng.integers(1, 48))
+            assert np.array_equal(rasterize_ellipses(size, ellipses).values,
+                                  full_grid_ellipses(size, ellipses)), (size, ellipses)
 
     def test_overlapping_intensities_accumulate(self):
         two = ((0.4, 0.5, 0.5, 0.0, 0.0, 0.0), (0.3, 0.2, 0.2, 0.0, 0.0, 0.0))

@@ -104,18 +104,50 @@ class TestDiagnostics:
         with pytest.raises(gl.ConfigurationError):
             constant_c(gl.SolverParams(), eta=0.5)
 
-    def test_warns_when_wp_defaulted(self, caplog):
+    def test_one_info_line_when_wp_defaulted(self, caplog):
         A, truth, clean, noisy, delta = ct16_problem()
-        with caplog.at_level(logging.WARNING, logger="graphlap.solver"):
-            gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=1))
-        assert "wp not supplied" in caplog.text
+        with caplog.at_level(logging.INFO, logger="graphlap.solver"):
+            res = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=1))
+        records = [r for r in caplog.records if r.name == "graphlap.solver"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        message = records[0].getMessage()
+        assert "defaulted to ||u0||" in message
+        assert f"C = {res.constant_c:.6g}" in message
+        assert f"||A|| estimate = {res.operator_norm.value:.6g}" in message
 
-    def test_warns_when_c_not_positive(self, caplog):
+    def test_c_not_positive_is_info_not_warning(self, caplog):
         A, truth, clean, noisy, delta = ct16_problem()
-        with caplog.at_level(logging.WARNING, logger="graphlap.solver"):
+        with caplog.at_level(logging.INFO, logger="graphlap.solver"):
             res = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(wp=10.0, max_iter=1))
         assert res.constant_c <= 0
-        assert "not positive" in caplog.text
+        assert res.operator_norm.converged
+        records = [r for r in caplog.records if r.name == "graphlap.solver"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        message = records[0].getMessage()
+        assert "wp = 10 (given)" in message
+        assert "(not positive)" in message
+
+    def test_warns_when_norm_estimate_not_converged(self, caplog):
+        # singular values 1 and 0.999: the power iteration's relative change
+        # stays above 1e-8 for all 100 steps (with 0.99999 it drops below
+        # at once, about eps^2 per step, and the estimate reads as converged)
+        class TwoValued(gl.LinearOperator):
+            domain_shape = range_shape = (8, 8)
+            scales = np.where(np.arange(64).reshape(8, 8) < 32, 1.0, 0.999)
+
+            def apply(self, u):
+                return gl.ImageGrid(self.scales * u.values)
+
+            adjoint = apply
+
+        rng = np.random.Generator(np.random.Philox(84))
+        v = gl.ImageGrid(rng.random((8, 8)))
+        with caplog.at_level(logging.WARNING, logger="graphlap.solver"):
+            res = gl.solve(TwoValued(), v, 0.0, ADJOINT, gl.SolverParams(wp=1.0, max_iter=1))
+        assert not res.operator_norm.converged
+        warnings = [r for r in caplog.records if r.name == "graphlap.solver"]
+        assert [r.levelno for r in warnings] == [logging.WARNING]
+        assert "did not converge" in warnings[0].getMessage()
 
     def test_silent_when_wp_given_and_c_positive(self, caplog):
         rng = np.random.Generator(np.random.Philox(83))
