@@ -64,13 +64,14 @@ def neighbor_bound(config: GraphConfig) -> int:
     return 2 * r * (r + 1)
 
 
-def _offsets(metric: str, r: int):
+def _half_offsets(metric: str, r: int):
+    """Offsets (di, dj) within distance r with di > 0, or di == 0 and dj > 0."""
     offs = []
-    for di in range(-r, r + 1):
+    for di in range(r + 1):
         for dj in range(-r, r + 1):
-            if di == 0 and dj == 0:
+            if di == 0 and dj <= 0:
                 continue
-            dist = abs(di) + abs(dj) if metric == "manhattan" else max(abs(di), abs(dj))
+            dist = di + abs(dj) if metric == "manhattan" else max(di, abs(dj))
             if dist <= r:
                 offs.append((di, dj))
     return offs
@@ -79,10 +80,9 @@ def _offsets(metric: str, r: int):
 def _bands(image: ImageGrid, config: GraphConfig):
     """One weight band per offset of the half-set, as (dj, s, w) tuples.
 
-    The half-set holds the offsets with di > 0, or di == 0 and dj > 0, so
-    each unordered pixel pair is met once.  Offsets that fit no pair on this
-    grid (|di| >= height or |dj| >= width) are skipped, which makes the flat
-    shift s = di * width + dj at least 1.  ``w[p]`` is the weight of pixels p
+    The half-set meets each unordered pixel pair once.  Offsets that fit no
+    pair on this grid (di >= height or |dj| >= width) are skipped, which makes
+    the flat shift s = di * width + dj at least 1.  ``w[p]`` is the weight of pixels p
     and p + s; it is 0 where that pair wraps across a row edge, so ``w`` has
     length n - s.  On grids narrower than 2R two offsets can share one shift,
     which is why every band keeps its own dj.
@@ -92,8 +92,8 @@ def _bands(image: ImageGrid, config: GraphConfig):
     flat = image.values.ravel()
     r = math.floor(config.radius)
     bands = []
-    for di, dj in _offsets(config.metric, r):
-        if di < 0 or (di == 0 and dj < 0) or di >= height or abs(dj) >= width:
+    for di, dj in _half_offsets(config.metric, r):
+        if di >= height or abs(dj) >= width:
             continue
         s = di * width + dj
         m = n - s
