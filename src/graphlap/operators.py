@@ -32,6 +32,12 @@ class LinearOperator:
     def adjoint(self, s):
         raise NotImplementedError
 
+    @functools.cached_property
+    def norm_estimate(self) -> NormEstimate:
+        """||A||, estimated once per operator by power iteration; the fixed
+        seed makes identical runs estimate identical norms."""
+        return estimate_operator_norm(self, iterations=100, tol=1e-8, seed=0)
+
     def _check_domain(self, u):
         if not isinstance(u, ImageGrid) or u.shape != self.domain_shape:
             raise ShapeMismatch(f"expected an ImageGrid of shape {self.domain_shape}")
@@ -74,28 +80,36 @@ class RadonGeometry:
 
 
 @functools.lru_cache(maxsize=4)  # geometries whose matrices are kept
-def _radon_matrices(geometry: RadonGeometry):
-    """Forward and back-projection matrices, cached per geometry."""
+def _radon_matrix(geometry: RadonGeometry):
+    """Forward projection matrix in CSR form, cached per geometry.
+
+    Each ray (row) belongs to exactly one angle, so the matrix is assembled
+    one angle's block of rows at a time and the blocks are stacked: only one
+    angle's (ray, pixel, weight) entries are alive at once.  ``tocsr`` orders
+    each row's entries and sums its duplicates from the same input sequence
+    as one global conversion would, so the stacked arrays are the same bytes.
+    """
     size = geometry.image_size
     d = geometry.num_detectors
     center = (size - 1) / 2.0
     offsets = geometry.detector_offsets
     half_span = math.ceil(math.sqrt(2.0) * size / 2.0)
     steps = np.arange(-half_span, half_span + 1, dtype=np.float64)
+    # int32 indices, as the CSR matrix stores them: half the bytes to
+    # gather, concatenate and sort during assembly
+    ray = np.broadcast_to(np.arange(d, dtype=np.int32)[:, None], (d, steps.size))
 
-    rows_parts, cols_parts, vals_parts = [], [], []
-    for t, theta in enumerate(geometry.angles):
+    blocks = []
+    for theta in geometry.angles:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
         # sample points of all (detector, step) pairs for this angle
         px = center + offsets[:, None] * cos_t - steps[None, :] * sin_t
         py = center + offsets[:, None] * sin_t + steps[None, :] * cos_t
-        # int32 indices, as the CSR matrix stores them: half the bytes to
-        # gather, concatenate and sort during assembly
         x0 = np.floor(px).astype(np.int32)
         y0 = np.floor(py).astype(np.int32)
         fx = px - x0
         fy = py - y0
-        ray = t * d + np.broadcast_to(np.arange(d, dtype=np.int32)[:, None], px.shape)
+        rows_parts, cols_parts, vals_parts = [], [], []
         for dx, wx in ((0, 1.0 - fx), (1, fx)):
             for dy, wy in ((0, 1.0 - fy), (1, fy)):
                 xc = x0 + dx
@@ -105,14 +119,13 @@ def _radon_matrices(geometry: RadonGeometry):
                 rows_parts.append(ray[ok])
                 cols_parts.append((yc[ok] * size + xc[ok]))
                 vals_parts.append(w[ok])
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    vals = np.concatenate(vals_parts)
-    forward = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(geometry.num_angles * d, size * size)
-    ).tocsr()
-    back = forward.T.tocsr()
-    return forward, back
+        blocks.append(sparse.coo_matrix(
+            (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
+            shape=(d, size * size),
+        ).tocsr())
+    # stacking CSR blocks concatenates their data and indices and offsets
+    # their row pointers; nothing is re-sorted
+    return sparse.vstack(blocks, format="csr")
 
 
 class RadonTransform(LinearOperator):
@@ -122,7 +135,7 @@ class RadonTransform(LinearOperator):
         self.geometry = geometry
         self.domain_shape = (geometry.image_size, geometry.image_size)
         self.range_shape = (geometry.num_angles, geometry.num_detectors)
-        self._forward, self._back = _radon_matrices(geometry)
+        self._forward = _radon_matrix(geometry)
 
     def apply(self, u: ImageGrid) -> Sinogram:
         self._check_domain(u)
@@ -132,7 +145,9 @@ class RadonTransform(LinearOperator):
     def adjoint(self, s: Sinogram) -> ImageGrid:
         if not isinstance(s, Sinogram) or s.shape != self.range_shape:
             raise ShapeMismatch(f"expected a Sinogram of shape {self.range_shape}")
-        out = self._back @ s.values.ravel()
+        # a CSC view of the forward arrays: each pixel sums over increasing
+        # ray index, as the matvec of the explicit transpose would
+        out = self._forward.T @ s.values.ravel()
         return ImageGrid(out.reshape(self.domain_shape))
 
 
@@ -189,6 +204,17 @@ class GaussianBlur(LinearOperator):
         self._check_domain(s)
         return ImageGrid(self._correlate(s.values))
 
+    @functools.cached_property
+    def norm_estimate(self) -> NormEstimate:
+        """Exact ||A||: the blur matrix is K (x) K, with K the n x n Toeplitz
+        matrix of the taps, so ||A|| = ||K||^2."""
+        n = self.domain_shape[0]
+        r = self.kernel.radius
+        lag = np.arange(n)[None, :] - np.arange(n)[:, None]
+        K = np.where(np.abs(lag) <= r, self.kernel.taps[np.clip(lag + r, 0, 2 * r)], 0.0)
+        top = float(np.linalg.norm(K, 2))
+        return NormEstimate(value=top * top, converged=True, iterations=0)
+
 
 class ScaledIdentity(LinearOperator):
     """c times the identity; handy for tests and degenerate configurations."""
@@ -207,7 +233,8 @@ class ScaledIdentity(LinearOperator):
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Power-iteration estimate of an operator norm (always from below)."""
+    """An operator norm: a power-iteration estimate, which approaches from
+    below, or an exact value (``iterations=0``)."""
 
     value: float
     converged: bool

@@ -16,9 +16,10 @@ stops at the first k with ||r_k|| <= tau * delta (checked before the update,
 so index 0 can already satisfy it) or after ``max_iter`` updates.
 
 The diagnostic constant C = eta - eta1/tau - nu0 (wp + nu1) - eta0 eta1, with
-eta = min(eta0 / ||A||^2, eta1) computed from a safety-padded operator norm
-estimate, guarantees monotone error decay when positive.  Every solve logs one
-INFO line with wp (and whether it was defaulted), C and the norm estimate; a
+eta = min(eta0 / ||A||^2, eta1) computed from the safety-padded norm
+``A.norm_estimate`` (computed once per operator and reused by every solve on
+it), guarantees monotone error decay when positive.  Every solve logs one INFO
+line with wp (and whether it was defaulted), C and the norm estimate; a
 non-positive C is routine at the defaults and is reported there, not warned
 about.  A norm estimate that did not converge logs a WARNING.
 """
@@ -32,15 +33,13 @@ from dataclasses import dataclass, field
 from .errors import ConfigurationError, DivergenceError, NonFiniteError
 from .graph import GraphConfig, build_laplacian
 from .grid import ImageGrid, axpy, dot, norm, sub
-from .operators import LinearOperator, NormEstimate, estimate_operator_norm
+from .operators import LinearOperator, NormEstimate
 from .recon import ReconstructorSpec, initial_reconstruction
 
 logger = logging.getLogger(__name__)
 
 DISCREPANCY_MET = "discrepancy_met"
 MAX_ITER_REACHED = "max_iter_reached"
-
-_NORM_SEED = 0  # fixed so identical runs estimate identical norms
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def solve(
         raise ConfigurationError(f"data shape {v_data.shape} does not match operator range {A.range_shape}")
 
     u = initial_reconstruction(A, v_data, psi)
-    norm_est = estimate_operator_norm(A, iterations=100, tol=1e-8, seed=_NORM_SEED)
+    norm_est = A.norm_estimate
     eta = eta_floor(params, norm_est.value)
     if not norm_est.converged:
         logger.warning("operator norm estimate %.6g did not converge in %d power iterations",

@@ -1,12 +1,48 @@
 """Forward operators: Radon transform, Gaussian blur, norm estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import graphlap as gl
-from graphlap.operators import _radon_matrices
+from graphlap.operators import _radon_matrix
+
+
+def global_coo_radon(geometry):
+    """Reference assembly: every angle's (ray, pixel, weight) entries gathered
+    into one COO matrix and converted to CSR at once."""
+    size = geometry.image_size
+    d = geometry.num_detectors
+    center = (size - 1) / 2.0
+    offsets = geometry.detector_offsets
+    half_span = math.ceil(math.sqrt(2.0) * size / 2.0)
+    steps = np.arange(-half_span, half_span + 1, dtype=np.float64)
+    rows_parts, cols_parts, vals_parts = [], [], []
+    for t, theta in enumerate(geometry.angles):
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        px = center + offsets[:, None] * cos_t - steps[None, :] * sin_t
+        py = center + offsets[:, None] * sin_t + steps[None, :] * cos_t
+        x0 = np.floor(px).astype(np.int32)
+        y0 = np.floor(py).astype(np.int32)
+        fx = px - x0
+        fy = py - y0
+        ray = t * d + np.broadcast_to(np.arange(d, dtype=np.int32)[:, None], px.shape)
+        for dx, wx in ((0, 1.0 - fx), (1, fx)):
+            for dy, wy in ((0, 1.0 - fy), (1, fy)):
+                xc = x0 + dx
+                yc = y0 + dy
+                w = wx * wy
+                ok = (xc >= 0) & (xc < size) & (yc >= 0) & (yc < size) & (w > 0)
+                rows_parts.append(ray[ok])
+                cols_parts.append(yc[ok] * size + xc[ok])
+                vals_parts.append(w[ok])
+    return sparse.coo_matrix(
+        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
+        shape=(geometry.num_angles * d, size * size),
+    ).tocsr()
 
 
 def dense_forward(A, n_pixels):
@@ -106,16 +142,57 @@ class TestRadonTransform:
         worst = max(np.linalg.norm(row - mean_row) for row in s)
         assert worst <= 0.02 * np.linalg.norm(mean_row)
 
+    @pytest.mark.parametrize("size,angles", [(2, 1), (3, 2), (9, 5), (16, 7), (33, 10), (64, 30)])
+    def test_angle_blocks_equal_global_assembly_bytes(self, size, angles):
+        geom = gl.RadonGeometry(size, angles)
+        got = _radon_matrix.__wrapped__(geom)
+        want = global_coo_radon(geom)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+    @pytest.mark.parametrize("size,angles", [(9, 5), (33, 10)])
+    def test_adjoint_bits_equal_explicit_transpose(self, size, angles):
+        geom = gl.RadonGeometry(size, angles)
+        A = gl.RadonTransform(geom)
+        back = global_coo_radon(geom).T.tocsr()
+        rng = np.random.Generator(np.random.Philox(38))
+        for _ in range(3):
+            s = rng.standard_normal(A.range_shape)
+            got = A.adjoint(gl.Sinogram(s)).values.ravel()
+            assert got.tobytes() == (back @ s.ravel()).tobytes()
+
+    def test_holds_one_sparse_matrix(self):
+        A = gl.RadonTransform(gl.RadonGeometry(16, 7))
+        held = [m for m in vars(A).values() if sparse.issparse(m)]
+        assert len(held) == 1
+        assert held[0].format == "csr"
+        assert held[0].shape == (A.range_shape[0] * A.range_shape[1], 16 * 16)
+
+    def test_assembly_memory_stays_near_the_matrix(self):
+        # one angle's entries alive at a time: the peak stays a few times the
+        # matrix, and nothing but the matrix is kept
+        geom = gl.RadonGeometry(64, 30)
+        tracemalloc.start()
+        try:
+            matrix = _radon_matrix.__wrapped__(geom)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert peak <= 4.0 * size, f"peak {peak / size:.2f}x the matrix bytes"
+        assert retained <= 1.1 * size, f"retained {retained / size:.2f}x the matrix bytes"
+
     def test_matrices_cached_per_geometry(self):
         geom = gl.RadonGeometry(8, 5)
         a = gl.RadonTransform(geom)
         b = gl.RadonTransform(gl.RadonGeometry(8, 5))
         assert a._forward is b._forward
-        assert _radon_matrices.cache_info().currsize >= 1
+        assert _radon_matrix.cache_info().currsize >= 1
         # bounded: a sweep over many geometries keeps only the latest few
-        for n in range(2, 2 + 2 * _radon_matrices.cache_info().maxsize):
+        for n in range(2, 2 + 2 * _radon_matrix.cache_info().maxsize):
             gl.RadonTransform(gl.RadonGeometry(8, n))
-        assert _radon_matrices.cache_info().currsize == _radon_matrices.cache_info().maxsize
+        assert _radon_matrix.cache_info().currsize == _radon_matrix.cache_info().maxsize
 
     def test_shape_validation(self):
         A = gl.RadonTransform(gl.RadonGeometry(8, 5))
@@ -180,6 +257,17 @@ class TestBlur:
     def test_invalid_size_rejected(self):
         with pytest.raises(gl.ConfigurationError):
             gl.GaussianBlur(gl.BlurKernel(rho=1.0), 0)
+
+    @pytest.mark.parametrize("size", [1, 8, 16, 24])
+    @pytest.mark.parametrize("rho", [0.5, 1.5, 4.0])
+    def test_norm_is_exact(self, size, rho):
+        # rho = 4 reaches past the image edge at every size here
+        B = gl.GaussianBlur(gl.BlurKernel(rho=rho), size)
+        top = np.linalg.svd(dense_forward(B, size * size), compute_uv=False)[0]
+        est = B.norm_estimate
+        assert est.value == pytest.approx(top, rel=1e-12)
+        assert est.converged
+        assert est.iterations == 0
 
 
 class TestScaledIdentity:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import graphlap as gl
+from graphlap import operators
 from graphlap.solver import (
     DISCREPANCY_MET,
     MAX_ITER_REACHED,
@@ -142,12 +143,44 @@ class TestDiagnostics:
 
         rng = np.random.Generator(np.random.Philox(84))
         v = gl.ImageGrid(rng.random((8, 8)))
+        A = TwoValued()
         with caplog.at_level(logging.WARNING, logger="graphlap.solver"):
-            res = gl.solve(TwoValued(), v, 0.0, ADJOINT, gl.SolverParams(wp=1.0, max_iter=1))
+            for _ in range(2):  # the second solve reuses the estimate and warns again
+                res = gl.solve(A, v, 0.0, ADJOINT, gl.SolverParams(wp=1.0, max_iter=1))
         assert not res.operator_norm.converged
         warnings = [r for r in caplog.records if r.name == "graphlap.solver"]
-        assert [r.levelno for r in warnings] == [logging.WARNING]
-        assert "did not converge" in warnings[0].getMessage()
+        assert [r.levelno for r in warnings] == [logging.WARNING, logging.WARNING]
+        assert all("did not converge" in w.getMessage() for w in warnings)
+
+    def test_norm_estimated_once_per_operator(self, caplog, monkeypatch):
+        calls = []
+        estimate = operators.estimate_operator_norm
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return estimate(*args, **kwargs)
+
+        # rebinding the module-global name is how a tracer sees the estimate
+        monkeypatch.setattr(operators, "estimate_operator_norm", counting)
+        A, truth, clean, noisy, delta = ct16_problem()
+        with caplog.at_level(logging.INFO, logger="graphlap.solver"):
+            first = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=1))
+            second = gl.solve(A, noisy, delta, TIK1, gl.SolverParams(max_iter=1))
+        assert calls == [A]
+        assert second.operator_norm == first.operator_norm
+        records = [r for r in caplog.records if r.name == "graphlap.solver"]
+        assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
+        assert all("||A|| estimate" in r.getMessage() for r in records)
+
+    def test_default_deblur_solve_logs_no_warning(self, caplog):
+        # the blur norm is exact; 100 power iterations fall short of it at 64^2
+        truth = gl.shepp_logan(64)
+        B = gl.GaussianBlur(gl.BlurKernel(rho=1.5), 64)
+        noisy, delta = gl.add_noise(B.apply(truth), gl.NoiseSpec(delta_rel=0.001, seed=0))
+        with caplog.at_level(logging.WARNING, logger="graphlap.solver"):
+            res = gl.solve(B, noisy, delta, ADJOINT, gl.SolverParams(max_iter=2))
+        assert res.operator_norm.converged
+        assert not [r for r in caplog.records if r.name == "graphlap.solver"]
 
     def test_silent_when_wp_given_and_c_positive(self, caplog):
         rng = np.random.Generator(np.random.Philox(83))
