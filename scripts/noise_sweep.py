@@ -2,11 +2,13 @@
 """Sweep noise levels and initializers on one problem, print a summary table.
 
 Each (delta_rel, psi) cell is a full reconstruction run written to its own
-subdirectory of --out; the table collects the report rows.  At desk sizes
-(--size 64) the whole sweep takes well under a minute.
+subdirectory of --out; the table collects the report rows.  Any other flag
+(--size, --angles, --max-iter, --tau, ...) goes to every run unchanged, and
+unset ones take the ``graphlap`` defaults (see ``graphlap --help``).  At the
+default size the whole sweep takes well under a minute.
 
     python3 scripts/noise_sweep.py --size 64 --angles 30
-    python3 scripts/noise_sweep.py --problem deblur --size 64 --psis adjoint,tikhonov
+    python3 scripts/noise_sweep.py --problem deblur --psis adjoint,tikhonov
 """
 
 import argparse
@@ -21,15 +23,12 @@ COLUMNS = ("psi", "delta_rel", "iterations", "residual", "re", "ssim", "stop_rea
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--problem", default="ct", choices=("ct", "deblur"))
-    parser.add_argument("--size", type=int, default=64)
-    parser.add_argument("--angles", type=int, default=30, help="projection angles (ct only)")
     parser.add_argument("--levels", default="0.2,0.1,0.05,0.03,0.01",
                         help="comma-separated delta_rel values")
     parser.add_argument("--psis", default="adjoint,fbp,tikhonov,tv",
                         help="comma-separated initializers (deblur supports adjoint,tikhonov)")
-    parser.add_argument("--max-iter", type=int, default=2000)
     parser.add_argument("--out", default="out/sweep")
-    args = parser.parse_args()
+    args, passthrough = parser.parse_known_args()
 
     levels = args.levels.split(",")
     psis = args.psis.split(",")
@@ -37,12 +36,8 @@ def main() -> int:
     for delta_rel in levels:
         for psi in psis:
             out = Path(args.out) / f"d{delta_rel}_{psi}"
-            argv = ["--problem", args.problem, "--size", str(args.size),
-                    "--delta-rel", delta_rel, "--psi", psi,
-                    "--max-iter", str(args.max_iter), "--out", str(out)]
-            if args.problem == "ct":
-                argv += ["--angles", str(args.angles)]
-            rc = cli.main(argv)
+            rc = cli.main(["--problem", args.problem, *passthrough, "--delta-rel", delta_rel,
+                           "--psi", psi, "--out", str(out)])
             if rc != 0:
                 print(f"run delta_rel={delta_rel} psi={psi} failed with exit code {rc}",
                       file=sys.stderr)

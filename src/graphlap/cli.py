@@ -3,7 +3,9 @@
 Three problems: ``ct`` (parallel-beam tomography of the head phantom),
 ``deblur`` (Gaussian blur of the same phantom) and ``laplacian_demo`` (dump
 the graph matrices of a fixed 2x2 example image).  Parameters come from flags,
-optionally seeded from a ``key=value`` config file that flags override.
+optionally seeded from a ``key=value`` config file that flags override.  Each
+parameter is declared once, as a field of ``ExperimentConfig``; the solver and
+graph fields default to ``SolverParams`` and ``GraphConfig``'s values.
 
 Each reconstruction run writes into --out: trace.csv (per-iteration log),
 recon.pgm / recon.csv (the final image), report.csv (one summary row, appended
@@ -16,92 +18,57 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .errors import ConfigurationError, ConvergenceError, DivergenceError
-from .graph import GraphConfig, build_laplacian, write_degrees_csv, write_weights_csv
+from .graph import METRICS, GraphConfig, build_laplacian, write_degrees_csv, write_weights_csv
 from .grid import ImageGrid, write_csv, write_pgm
-from .metrics import evaluate
+from .metrics import SSIM_WINDOW, evaluate
 from .operators import BlurKernel, GaussianBlur, RadonGeometry, RadonTransform
 from .phantoms import NoiseSpec, add_noise, shepp_logan
-from .recon import ReconstructorSpec
+from .recon import PSI_KINDS, ReconstructorSpec
 from .solver import SolverParams, solve, write_trace_csv
 
 PROBLEMS = ("ct", "deblur", "laplacian_demo")
 
-# 2x2 image whose graph matrices the demo dumps
+# 2x2 image whose graph matrices the demo dumps, and the graph it dumps them for
 DEMO_PIXELS = ((0.2, 0.3), (0.5, 0.1))
+DEMO_GRAPH = {"radius": 1.0, "sigma": 0.01, "metric": "manhattan"}
 
-_COMMON_DEFAULTS = {
-    "size": 64,
-    "angles": 30,
-    "rho": 1.5,
-    "psi": "adjoint",
-    "delta_rel": 0.05,
-    "seed": 0,
-    "tau": 2.0,
-    "eta0": 0.2,
-    "eta1": 0.5,
-    "nu0": 0.05,
-    "nu1": 0.05,
-    "nu2": 1.0,
-    "graph_period": 1,
-    "max_iter": 2000,
-    "out": "out",
-}
 
-_GRAPH_DEFAULTS = {
-    "ct": {"radius": 6.0, "sigma": 0.05, "metric": "chebyshev"},
-    "deblur": {"radius": 6.0, "sigma": 0.05, "metric": "chebyshev"},
-    "laplacian_demo": {"radius": 1.0, "sigma": 0.01, "metric": "manhattan"},
-}
-
-_FLAG_TYPES = {
-    "problem": str,
-    "size": int,
-    "angles": int,
-    "rho": float,
-    "psi": str,
-    "delta_rel": float,
-    "seed": int,
-    "tau": float,
-    "eta0": float,
-    "eta1": float,
-    "nu0": float,
-    "nu1": float,
-    "nu2": float,
-    "radius": float,
-    "sigma": float,
-    "metric": str,
-    "graph_period": int,
-    "max_iter": int,
-    "out": str,
-}
+def _param(default, phrase, choices=None):
+    return field(default=default, metadata={"help": phrase, "choices": choices})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: str
-    size: int
-    angles: int
-    rho: float
-    psi: str
-    delta_rel: float
-    seed: int
-    tau: float
-    eta0: float
-    eta1: float
-    nu0: float
-    nu1: float
-    nu2: float
-    radius: float
-    sigma: float
-    metric: str
-    graph_period: int
-    max_iter: int
-    out: str
+    """Every run parameter, each one flag, one config-file key and one meta.txt line."""
+
+    problem: str = _param(MISSING, "experiment to run", PROBLEMS)
+    size: int = _param(64, "image side length E")
+    angles: int = _param(30, "number of ct projection angles")
+    rho: float = _param(1.5, "width of the deblur kernel")
+    psi: str = _param(ReconstructorSpec.kind, "initial reconstruction", PSI_KINDS)
+    delta_rel: float = _param(0.05, "relative noise level")
+    seed: int = _param(NoiseSpec.seed, "noise seed")
+    tau: float = _param(SolverParams.tau, "discrepancy factor > 1")
+    eta0: float = _param(SolverParams.eta0, "gradient step scale")
+    eta1: float = _param(SolverParams.eta1, "gradient step cap")
+    nu0: float = _param(SolverParams.nu0, "Laplacian step scale")
+    nu1: float = _param(SolverParams.nu1, "Laplacian step cap")
+    nu2: float = _param(SolverParams.nu2, "absolute beta cap")
+    radius: float = _param(GraphConfig.radius, "graph neighborhood radius")
+    sigma: float = _param(GraphConfig.sigma, "graph similarity scale")
+    metric: str = _param(GraphConfig.metric, "graph lattice metric", METRICS)
+    graph_period: int = _param(SolverParams.graph_update_period, "rebuild the graph every p-th step")
+    max_iter: int = _param(SolverParams.max_iter, "iteration cap")
+    out: str = _param("out", "output directory")
+
+
+_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _read_config_file(path: str) -> dict:
@@ -118,10 +85,10 @@ def _read_config_file(path: str) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FLAG_TYPES:
+        if key not in _TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            settings[key] = _FLAG_TYPES[key](value.strip())
+            settings[key] = _TYPES[key](value.strip())
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return settings
@@ -133,51 +100,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Graph-Laplacian regularized iterative reconstruction experiments.",
     )
     parser.add_argument("--config", help="key=value file supplying defaults; flags override it")
-    parser.add_argument("--problem", choices=PROBLEMS)
-    parser.add_argument("--size", type=int, help="image side length E (default 64)")
-    parser.add_argument("--angles", type=int, help="number of projection angles (ct, default 30)")
-    parser.add_argument("--rho", type=float, help="blur width (deblur, default 1.5)")
-    parser.add_argument("--psi", choices=("adjoint", "fbp", "tikhonov", "tv"),
-                        help="initial reconstruction (default adjoint)")
-    parser.add_argument("--delta-rel", type=float, dest="delta_rel",
-                        help="relative noise level (default 0.05)")
-    parser.add_argument("--seed", type=int, help="noise seed (default 0)")
-    parser.add_argument("--tau", type=float, help="discrepancy factor > 1 (default 2.0)")
-    parser.add_argument("--eta0", type=float, help="gradient step scale (default 0.2)")
-    parser.add_argument("--eta1", type=float, help="gradient step cap (default 0.5)")
-    parser.add_argument("--nu0", type=float, help="Laplacian step scale (default 0.05)")
-    parser.add_argument("--nu1", type=float, help="Laplacian step cap (default 0.05)")
-    parser.add_argument("--nu2", type=float, help="absolute beta cap (default 1.0)")
-    parser.add_argument("--radius", type=float, help="graph neighborhood radius (default 6; demo 1)")
-    parser.add_argument("--sigma", type=float, help="graph similarity scale (default 0.05; demo 0.01)")
-    parser.add_argument("--metric", choices=("manhattan", "chebyshev"),
-                        help="graph lattice metric (default chebyshev; demo manhattan)")
-    parser.add_argument("--graph-period", type=int, dest="graph_period",
-                        help="rebuild the graph every p-th step (default 1)")
-    parser.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap (default 2000)")
-    parser.add_argument("--out", help="output directory (default ./out)")
+    for f in fields(ExperimentConfig):
+        text = f.metadata["help"]
+        if f.default is not MISSING:
+            demo = f"; laplacian_demo {DEMO_GRAPH[f.name]}" if f.name in DEMO_GRAPH else ""
+            text += f" (default {f.default}{demo})"
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_TYPES[f.name],
+                            choices=f.metadata["choices"], help=text)
     return parser
 
 
 def parse_config(argv) -> ExperimentConfig:
     args = _build_parser().parse_args(argv)
-    settings = dict(_COMMON_DEFAULTS)
-    file_settings = _read_config_file(args.config) if args.config else {}
-    flag_settings = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
-    problem = flag_settings.get("problem") or file_settings.get("problem")
-    if problem is None:
-        raise ConfigurationError("--problem is required (ct, deblur or laplacian_demo)")
+    settings = _read_config_file(args.config) if args.config else {}
+    settings.update((k, v) for k, v in vars(args).items() if k != "config" and v is not None)
+    problem = settings.get("problem")
+    if not problem:
+        raise ConfigurationError(f"--problem is required ({', '.join(PROBLEMS)})")
     if problem not in PROBLEMS:
         raise ConfigurationError(f"unknown problem {problem!r}")
-    settings["problem"] = problem
-    settings.update(_GRAPH_DEFAULTS[problem])
-    settings.update(file_settings)
-    settings.update(flag_settings)
+    if problem == "laplacian_demo":
+        settings = {**DEMO_GRAPH, **settings}
     config = ExperimentConfig(**settings)
     if config.problem == "deblur" and config.psi in ("fbp", "tv"):
         raise ConfigurationError(f"psi {config.psi!r} needs projection data; use adjoint or tikhonov for deblur")
     if config.size < 2:
         raise ConfigurationError(f"size must be >= 2, got {config.size}")
+    if config.problem != "laplacian_demo" and config.size < SSIM_WINDOW:
+        raise ConfigurationError(f"size must be >= {SSIM_WINDOW} for {config.problem}, got {config.size}: "
+                                 f"ssim needs a {SSIM_WINDOW}x{SSIM_WINDOW} window")
     if config.delta_rel < 0:
         raise ConfigurationError(f"delta-rel must be >= 0, got {config.delta_rel}")
     return config
@@ -195,8 +146,8 @@ def _solver_params(config: ExperimentConfig) -> SolverParams:
 
 def _write_meta(path: Path, config: ExperimentConfig, extra: dict):
     lines = [f"version={__version__}"]
-    for key in _FLAG_TYPES:
-        lines.append(f"{key}={getattr(config, key)}")
+    for f in fields(ExperimentConfig):
+        lines.append(f"{f.name}={getattr(config, f.name)}")
     for key, value in extra.items():
         lines.append(f"{key}={value}")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")

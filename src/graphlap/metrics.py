@@ -21,7 +21,7 @@ from scipy import ndimage
 from .errors import ConfigurationError
 from .grid import norm, sub
 
-_SSIM_WINDOW = 7
+SSIM_WINDOW = 7
 _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
 
@@ -52,8 +52,8 @@ def psnr(u, truth) -> tuple[float, float]:
 
 
 def _window_means(values: np.ndarray) -> np.ndarray:
-    filtered = ndimage.uniform_filter(values, size=_SSIM_WINDOW, mode="constant")
-    r = _SSIM_WINDOW // 2
+    filtered = ndimage.uniform_filter(values, size=SSIM_WINDOW, mode="constant")
+    r = SSIM_WINDOW // 2
     return filtered[r:-r, r:-r]
 
 
@@ -62,11 +62,11 @@ def ssim(u, truth) -> float:
     if u.values.shape != truth.values.shape:
         raise ConfigurationError("ssim needs images of identical shape")
     h, w = u.values.shape
-    if h < _SSIM_WINDOW or w < _SSIM_WINDOW:
-        raise ConfigurationError(f"ssim needs at least a {_SSIM_WINDOW}x{_SSIM_WINDOW} image")
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ConfigurationError(f"ssim needs at least a {SSIM_WINDOW}x{SSIM_WINDOW} image")
     x = np.clip(u.values, 0.0, 1.0)
     y = np.clip(truth.values, 0.0, 1.0)
-    np_window = _SSIM_WINDOW * _SSIM_WINDOW
+    np_window = SSIM_WINDOW * SSIM_WINDOW
     cov_norm = np_window / (np_window - 1)
     mx = _window_means(x)
     my = _window_means(y)

@@ -97,22 +97,15 @@ class SolveResult:
     operator_norm: NormEstimate
 
 
-def _alpha_from(residual_sq: float, gradient_sq: float, params: SolverParams) -> float:
+def step_alpha(residual_sq: float, gradient_sq: float, params: SolverParams) -> float:
+    """Adaptive gradient step length from ||r||^2 and ||A* r||^2."""
     if gradient_sq == 0.0:
         return params.eta1
     return min(params.eta0 * residual_sq / gradient_sq, params.eta1)
 
 
-def step_alpha(A: LinearOperator, u: ImageGrid, v_data, params: SolverParams) -> float:
-    """Adaptive gradient step length at the iterate u."""
-    r = sub(A.apply(u), v_data)
-    g = A.adjoint(r)
-    return _alpha_from(dot(r, r), dot(g, g), params)
-
-
-def step_beta(u: ImageGrid, laplacian_term: ImageGrid, residual_norm: float, params: SolverParams) -> float:
-    """Adaptive Laplacian step length; laplacian_term is Delta_u u."""
-    q = norm(laplacian_term)
+def step_beta(q: float, residual_norm: float, params: SolverParams) -> float:
+    """Adaptive Laplacian step length; q is ||Delta_u u||."""
     if q == 0.0:
         return 0.0
     return min(params.nu0 * residual_norm * residual_norm / q, params.nu1 / q, params.nu2)
@@ -126,15 +119,9 @@ def eta_floor(params: SolverParams, operator_norm: float) -> float:
     return min(params.eta0 / (padded * padded), params.eta1)
 
 
-def constant_c(params: SolverParams, eta: float, wp: float | None = None) -> float:
+def constant_c(params: SolverParams, eta: float, wp: float) -> float:
     """Diagnostic monotonicity constant C = eta - eta1/tau - nu0 (wp + nu1) - eta0 eta1."""
-    radius = wp if wp is not None else params.wp
-    if radius is None:
-        if params.nu0 == 0.0:
-            radius = 0.0
-        else:
-            raise ConfigurationError("constant_c needs wp when nu0 > 0")
-    return eta - params.eta1 / params.tau - params.nu0 * (radius + params.nu1) - params.eta0 * params.eta1
+    return eta - params.eta1 / params.tau - params.nu0 * (wp + params.nu1) - params.eta0 * params.eta1
 
 
 def solve(
@@ -183,13 +170,14 @@ def solve(
             if not math.isfinite(residual):
                 raise NonFiniteError("residual is not finite")
             lap_term = laplacian.apply(u)
+            q = norm(lap_term)
             g = A.adjoint(r)
-            alpha = _alpha_from(residual_sq, dot(g, g), params)
-            beta = step_beta(u, lap_term, residual, params)
+            alpha = step_alpha(residual_sq, dot(g, g), params)
+            beta = step_beta(q, residual, params)
             err = norm(sub(u, truth)) if truth is not None else None
             trace.append(
                 IterateRecord(k=k, residual=residual, alpha=alpha, beta=beta,
-                              laplacian_term_norm=norm(lap_term), error_to_truth=err)
+                              laplacian_term_norm=q, error_to_truth=err)
             )
             if residual <= threshold:
                 reason = DISCREPANCY_MET

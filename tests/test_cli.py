@@ -4,14 +4,18 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from graphlap import cli
 from graphlap.errors import ConfigurationError
+from graphlap.graph import GraphConfig
 from graphlap.grid import read_image_csv
+from graphlap.solver import SolverParams
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -24,6 +28,16 @@ def read_report(path):
 
 def read_meta(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def other_value(f):
+    """A valid value of the field that differs from its default."""
+    choices = f.metadata["choices"]
+    if choices:
+        return choices[-1] if choices[-1] != f.default else choices[0]
+    if f.name == "out":
+        return "elsewhere"
+    return f.default + 1 if isinstance(f.default, int) else f.default + 0.25
 
 
 def read_weights(path):
@@ -45,6 +59,38 @@ class TestParseConfig:
         assert (ct.size, ct.angles, ct.delta_rel) == (64, 30, 0.05)
         demo = cli.parse_config(["--problem", "laplacian_demo"])
         assert (demo.radius, demo.sigma, demo.metric) == (1.0, 0.01, "manhattan")
+
+    @pytest.mark.parametrize("problem", ["ct", "deblur"])
+    def test_solver_defaults_are_the_library_defaults(self, problem):
+        assert cli._solver_params(cli.parse_config(["--problem", problem])) == SolverParams()
+
+    def test_demo_overrides_only_the_graph(self):
+        got = cli._solver_params(cli.parse_config(["--problem", "laplacian_demo"]))
+        demo_graph = GraphConfig(radius=1.0, sigma=0.01, metric="manhattan")
+        assert got == SolverParams(graph=demo_graph)
+
+    @pytest.mark.parametrize("f", fields(cli.ExperimentConfig), ids=lambda f: f.name)
+    def test_every_field_round_trips_through_file_and_flag(self, f, tmp_path):
+        value = other_value(f)
+        expected_type = get_type_hints(cli.ExperimentConfig)[f.name]
+        base = [] if f.name == "problem" else ["--problem", "ct"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{f.name}={value}\n")
+        from_file = cli.parse_config([*base, "--config", str(cfg)])
+        from_flag = cli.parse_config([*base, "--" + f.name.replace("_", "-"), str(value)])
+        for config in (from_file, from_flag):
+            assert getattr(config, f.name) == value
+            assert type(getattr(config, f.name)) is expected_type
+
+    def test_help_lists_every_field_with_its_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for f in fields(cli.ExperimentConfig):
+            assert "--" + f.name.replace("_", "-") in text
+            if f.default is not MISSING:
+                assert f"{f.metadata['help']} (default {f.default}" in text
 
     def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -94,6 +140,16 @@ class TestParseConfig:
             cli.parse_config(["--problem", "ct", "--size", "1"])
         with pytest.raises(ConfigurationError):
             cli.parse_config(["--problem", "ct", "--delta-rel", "-0.1"])
+
+    @pytest.mark.parametrize("problem", ["ct", "deblur"])
+    @pytest.mark.parametrize("size", [2, 6])
+    def test_size_below_ssim_window_rejected_before_solving(self, problem, size, tmp_path):
+        argv = ["--problem", problem, "--size", str(size), "--out", str(tmp_path)]
+        with pytest.raises(ConfigurationError, match="7x7 window"):
+            cli.parse_config(argv)
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "trace.csv").exists()
+        assert cli.parse_config(["--problem", problem, "--size", "7"]).size == 7
 
     def test_bad_choice_exits_via_argparse(self):
         with pytest.raises(SystemExit):
@@ -149,7 +205,7 @@ class TestCtRun:
 
     def test_meta_lists_every_flag(self, ct_out):
         meta = read_meta(ct_out / "meta.txt")
-        missing = set(cli._FLAG_TYPES) - set(meta)
+        missing = {f.name for f in fields(cli.ExperimentConfig)} - set(meta)
         assert not missing
         assert meta["version"]
         assert meta["num_detectors"] == "23"
