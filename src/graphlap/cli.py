@@ -27,7 +27,7 @@ from .errors import ConfigurationError, ConvergenceError, DivergenceError
 from .graph import METRICS, GraphConfig, build_laplacian, write_degrees_csv, write_weights_csv
 from .grid import ImageGrid, write_csv, write_pgm
 from .metrics import SSIM_WINDOW, evaluate
-from .operators import BlurKernel, GaussianBlur, RadonGeometry, RadonTransform
+from .operators import BlurKernel, GaussianBlur, LinearOperator, RadonGeometry, RadonTransform
 from .phantoms import NoiseSpec, add_noise, shepp_logan
 from .recon import PSI_KINDS, ReconstructorSpec
 from .solver import SolverParams, solve, write_trace_csv
@@ -176,7 +176,7 @@ def _append_report(path: Path, config: ExperimentConfig, result, quality):
         ]) + "\n")
 
 
-def _run_reconstruction(config: ExperimentConfig, A, truth: ImageGrid, out_dir: Path, extra_meta: dict) -> int:
+def _run_reconstruction(config: ExperimentConfig, A, truth: ImageGrid, extra_meta: dict, out_dir: Path) -> int:
     clean = A.apply(truth)
     noisy, delta = add_noise(clean, NoiseSpec(delta_rel=config.delta_rel, seed=config.seed))
     psi = ReconstructorSpec(kind=config.psi)
@@ -210,16 +210,14 @@ def _run_reconstruction(config: ExperimentConfig, A, truth: ImageGrid, out_dir: 
     return 0
 
 
-def run_ct(config: ExperimentConfig, out_dir: Path) -> int:
-    geometry = RadonGeometry(image_size=config.size, num_angles=config.angles)
-    extra = {"num_detectors": geometry.num_detectors}
-    return _run_reconstruction(config, RadonTransform(geometry), shepp_logan(config.size), out_dir, extra)
-
-
-def run_deblur(config: ExperimentConfig, out_dir: Path) -> int:
+def build_problem(config: ExperimentConfig) -> tuple[LinearOperator, ImageGrid, dict]:
+    """The forward operator of a ct or deblur run, the phantom it images and its meta.txt lines."""
+    truth = shepp_logan(config.size)
+    if config.problem == "ct":
+        geometry = RadonGeometry(image_size=config.size, num_angles=config.angles)
+        return RadonTransform(geometry), truth, {"num_detectors": geometry.num_detectors}
     blur = GaussianBlur(BlurKernel(rho=config.rho), size=config.size)
-    extra = {"kernel_radius": blur.kernel.radius}
-    return _run_reconstruction(config, blur, shepp_logan(config.size), out_dir, extra)
+    return blur, truth, {"kernel_radius": blur.kernel.radius}
 
 
 def run_laplacian_demo(config: ExperimentConfig, out_dir: Path) -> int:
@@ -239,11 +237,9 @@ def main(argv=None) -> int:
         config = parse_config(argv)
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if config.problem == "ct":
-            return run_ct(config, out_dir)
-        if config.problem == "deblur":
-            return run_deblur(config, out_dir)
-        return run_laplacian_demo(config, out_dir)
+        if config.problem == "laplacian_demo":
+            return run_laplacian_demo(config, out_dir)
+        return _run_reconstruction(config, *build_problem(config), out_dir)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

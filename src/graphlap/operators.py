@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage, sparse
 
 from .errors import ConfigurationError, ShapeMismatch
-from .grid import ImageGrid, Sinogram, norm
+from .grid import ImageGrid, Sinogram, axpy, dot, norm
 
 
 class LinearOperator:
@@ -244,23 +244,26 @@ class NormEstimate:
 def estimate_operator_norm(A: LinearOperator, iterations: int = 100, tol: float = 1e-8, seed: int = 0) -> NormEstimate:
     """Estimate ||A|| by power iteration on A* A from a seeded random start.
 
-    Power iteration approaches the top singular value from below, so callers
-    that need an upper bound should multiply by a small safety factor.  If the
-    relative change never drops below ``tol`` the last estimate is returned
-    with ``converged=False``.
+    Each step takes a unit vector x to z = A* A x and returns sqrt(||z||).  It
+    stops once x is an eigenvector to within ``tol``: the Rayleigh residual
+    ||z - lam2 x|| is at most tol * lam2, with lam2 = <x, z>.  The change of
+    the estimate is no such test: near-degenerate top singular values barely
+    move it while x is still far from the top singular vector.  Power
+    iteration approaches the top singular value from below, so callers that
+    need an upper bound should multiply by a small safety factor.  If the
+    residual test never passes the last estimate is returned with
+    ``converged=False``.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     x = ImageGrid(rng.random(A.domain_shape) + 0.5)
     x = ImageGrid(x.values / norm(x))
-    estimate = 0.0
     for it in range(1, max(1, iterations) + 1):
         z = A.adjoint(A.apply(x))
         growth = norm(z)
         if growth == 0.0:
             return NormEstimate(value=0.0, converged=True, iterations=it)
-        new_estimate = math.sqrt(growth)
+        lam2 = dot(x, z)
+        if norm(axpy(-lam2, x, z)) <= tol * lam2:
+            return NormEstimate(value=math.sqrt(growth), converged=True, iterations=it)
         x = ImageGrid(z.values / growth)
-        if estimate > 0.0 and abs(new_estimate - estimate) <= tol * new_estimate:
-            return NormEstimate(value=new_estimate, converged=True, iterations=it)
-        estimate = new_estimate
-    return NormEstimate(value=estimate, converged=False, iterations=max(1, iterations))
+    return NormEstimate(value=math.sqrt(growth), converged=False, iterations=max(1, iterations))

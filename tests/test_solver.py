@@ -128,12 +128,14 @@ class TestDiagnostics:
         assert "(not positive)" in message
 
     def test_warns_when_norm_estimate_not_converged(self, caplog):
-        # singular values 1 and 0.999: the power iteration's relative change
-        # stays above 1e-8 for all 100 steps (with 0.99999 it drops below
-        # at once, about eps^2 per step, and the estimate reads as converged)
+        # singular values 1 and `second`: the power iterate's Rayleigh residual
+        # shrinks by second**2 per step and stays above 1e-8 for all 100 steps.
+        # At 0.99999 the estimate itself moves by only about eps^2 per step.
         class TwoValued(gl.LinearOperator):
             domain_shape = range_shape = (8, 8)
-            scales = np.where(np.arange(64).reshape(8, 8) < 32, 1.0, 0.999)
+
+            def __init__(self, second):
+                self.scales = np.where(np.arange(64).reshape(8, 8) < 32, 1.0, second)
 
             def apply(self, u):
                 return gl.ImageGrid(self.scales * u.values)
@@ -142,14 +144,16 @@ class TestDiagnostics:
 
         rng = np.random.Generator(np.random.Philox(84))
         v = gl.ImageGrid(rng.random((8, 8)))
-        A = TwoValued()
-        with caplog.at_level(logging.WARNING, logger="graphlap.solver"):
-            for _ in range(2):  # the second solve reuses the estimate and warns again
-                res = gl.solve(A, v, 0.0, ADJOINT, gl.SolverParams(wp=1.0, max_iter=1))
-        assert not res.operator_norm.converged
-        warnings = [r for r in caplog.records if r.name == "graphlap.solver"]
-        assert [r.levelno for r in warnings] == [logging.WARNING, logging.WARNING]
-        assert all("did not converge" in w.getMessage() for w in warnings)
+        for second in (0.999, 0.99999):
+            A = TwoValued(second)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="graphlap.solver"):
+                for _ in range(2):  # the second solve reuses the estimate and warns again
+                    res = gl.solve(A, v, 0.0, ADJOINT, gl.SolverParams(wp=1.0, max_iter=1))
+            assert not res.operator_norm.converged, second
+            warnings = [r for r in caplog.records if r.name == "graphlap.solver"]
+            assert [r.levelno for r in warnings] == [logging.WARNING, logging.WARNING], second
+            assert all("did not converge" in w.getMessage() for w in warnings)
 
     def test_norm_estimated_once_per_operator(self, caplog, monkeypatch):
         calls = []
