@@ -28,7 +28,7 @@ from pathlib import Path
 
 from graphlap import cli
 from graphlap.errors import ConfigurationError, ConvergenceError, DivergenceError
-from graphlap.grid import norm
+from graphlap.grid import norm, write_table
 from graphlap.metrics import evaluate
 from graphlap.phantoms import NoiseSpec, add_noise
 from graphlap.recon import PSI_KINDS, ReconstructorSpec
@@ -83,12 +83,6 @@ def run(cells) -> list:
     return rows
 
 
-def write_csv(rows, path: Path):
-    lines = [",".join(COLUMNS)]
-    lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 def print_table(rows):
     cells = [[f"{c:.4f}" if isinstance(c, float) else str(c) for c in row] for row in rows]
     widths = [max(len(name), *(len(row[i]) for row in cells)) for i, name in enumerate(COLUMNS)]
@@ -109,7 +103,7 @@ def main(argv=None) -> int:
         return 3
     out_dir = Path(cells[0].out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(rows, out_dir / "ablation.csv")
+    write_table(out_dir / "ablation.csv", rows, COLUMNS)
     print_table(rows)
     return 0
 

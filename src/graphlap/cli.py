@@ -18,14 +18,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
 from . import __version__
 from .errors import ConfigurationError, ConvergenceError, DivergenceError
 from .graph import METRICS, GraphConfig, build_laplacian, write_degrees_csv, write_weights_csv
-from .grid import ImageGrid, write_csv, write_pgm
+from .grid import ImageGrid, format_cell, write_csv, write_pgm, write_table
 from .metrics import SSIM_WINDOW, evaluate
 from .operators import BlurKernel, GaussianBlur, LinearOperator, RadonGeometry, RadonTransform
 from .phantoms import NoiseSpec, add_noise, shepp_logan
@@ -131,6 +131,12 @@ def parse_config(argv) -> ExperimentConfig:
                                  f"ssim needs a {SSIM_WINDOW}x{SSIM_WINDOW} window")
     if config.delta_rel < 0:
         raise ConfigurationError(f"delta-rel must be >= 0, got {config.delta_rel}")
+    # built here only for their checks, so that a bad value fails before any output is written
+    _solver_params(config)
+    if config.problem == "ct":
+        RadonGeometry(image_size=config.size, num_angles=config.angles)
+    elif config.problem == "deblur":
+        BlurKernel(rho=config.rho)
     return config
 
 
@@ -145,35 +151,19 @@ def _solver_params(config: ExperimentConfig) -> SolverParams:
 
 
 def _write_meta(path: Path, config: ExperimentConfig, extra: dict):
-    lines = [f"version={__version__}"]
-    for f in fields(ExperimentConfig):
-        lines.append(f"{f.name}={getattr(config, f.name)}")
-    for key, value in extra.items():
-        lines.append(f"{key}={value}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    values = {"version": __version__, **asdict(config), **extra}
+    path.write_text("".join(f"{key}={format_cell(value)}\n" for key, value in values.items()), encoding="ascii")
 
 
-REPORT_COLUMNS = "psi,delta_rel,iterations,residual,re,psnr_standard,psnr_paper,ssim,constant_C,eta_floor,stop_reason"
+REPORT_COLUMNS = ("psi", "delta_rel", "iterations", "residual", "re", "psnr_standard", "psnr_paper", "ssim",
+                  "constant_C", "eta_floor", "stop_reason")
 
 
 def _append_report(path: Path, config: ExperimentConfig, result, quality):
-    fresh = not path.exists()
-    with open(path, "a", encoding="ascii") as fh:
-        if fresh:
-            fh.write(REPORT_COLUMNS + "\n")
-        fh.write(",".join([
-            config.psi,
-            repr(config.delta_rel),
-            str(result.stop_index),
-            repr(result.trace[-1].residual),
-            repr(quality.re),
-            repr(quality.psnr_standard),
-            repr(quality.psnr_paper),
-            repr(quality.ssim),
-            repr(result.constant_c),
-            repr(result.eta_floor),
-            result.stop_reason,
-        ]) + "\n")
+    row = (config.psi, config.delta_rel, result.stop_index, result.trace[-1].residual, quality.re,
+           quality.psnr_standard, quality.psnr_paper, quality.ssim, result.constant_c, result.eta_floor,
+           result.stop_reason)
+    write_table(path, [row], REPORT_COLUMNS, append=True)
 
 
 def _run_reconstruction(config: ExperimentConfig, A, truth: ImageGrid, extra_meta: dict, out_dir: Path) -> int:
@@ -181,8 +171,7 @@ def _run_reconstruction(config: ExperimentConfig, A, truth: ImageGrid, extra_met
     noisy, delta = add_noise(clean, NoiseSpec(delta_rel=config.delta_rel, seed=config.seed))
     psi = ReconstructorSpec(kind=config.psi)
     params = _solver_params(config)
-    meta = dict(extra_meta)
-    meta["delta"] = repr(delta)
+    meta = {**extra_meta, "delta": delta}
     try:
         result = solve(A, noisy, delta, psi, params, truth=truth)
     except DivergenceError as exc:
@@ -197,10 +186,10 @@ def _run_reconstruction(config: ExperimentConfig, A, truth: ImageGrid, extra_met
     write_csv(result.final_iterate, out_dir / "recon.csv")
     _append_report(out_dir / "report.csv", config, result, quality)
     meta.update({
-        "operator_norm_estimate": repr(result.operator_norm.value),
+        "operator_norm_estimate": result.operator_norm.value,
         "operator_norm_converged": result.operator_norm.converged,
-        "eta_floor": repr(result.eta_floor),
-        "constant_C": repr(result.constant_c),
+        "eta_floor": result.eta_floor,
+        "constant_C": result.constant_c,
         "iterations": result.stop_index,
         "stop_reason": result.stop_reason,
     })

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, ShapeMismatch
-from .grid import ImageGrid
+from .grid import ImageGrid, write_table
 
 METRICS = ("manhattan", "chebyshev")
 
@@ -221,16 +221,9 @@ def lipschitz_constant(config: GraphConfig, height: int, width: int) -> float:
 
 def write_weights_csv(laplacian: SparseLaplacian, path):
     """Dump the weight matrix as ``i,j,w`` triplets sorted by (i, j)."""
-    rows, cols, vals = laplacian.triplets()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("i,j,w\n")
-        for i, j, w in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            fh.write(f"{i},{j},{repr(w)}\n")
+    write_table(path, zip(*laplacian.triplets()), ("i", "j", "w"))
 
 
 def write_degrees_csv(laplacian: SparseLaplacian, path):
     """Dump the node degrees, one ``i,degree`` line per node."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("i,degree\n")
-        for i, d in enumerate(laplacian.degrees.tolist()):
-            fh.write(f"{i},{repr(d)}\n")
+    write_table(path, enumerate(laplacian.degrees), ("i", "degree"))

@@ -14,6 +14,7 @@ traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -125,16 +126,35 @@ def write_pgm(image: ImageGrid, path):
         fh.write(bytes8.tobytes())
 
 
-def write_csv(field, path):
-    """Write one CSV row per field row using shortest round-trip decimals.
+def format_cell(value) -> str:
+    """The text of one table cell or meta.txt value.
 
-    The written text parses back to bit-identical float64 values, so CSV
-    round-trips are lossless.
+    Floats, numpy scalars included, are written as shortest round-trip
+    decimals, which parse back to bit-identical float64 values; ``None`` is an
+    empty cell and anything else is ``str(value)``.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        for row in field.values:
-            fh.write(",".join(repr(v) for v in row.tolist()))
-            fh.write("\n")
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_table(path, rows, columns=None, append=False):
+    """Write one comma-separated line of :func:`format_cell` cells per row.
+
+    The ``columns`` header line is written only when given and, in append
+    mode, only if the file is new.
+    """
+    fresh = not (append and Path(path).exists())
+    with open(path, "a" if append else "w", encoding="ascii") as fh:
+        if columns is not None and fresh:
+            fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_cell, row)) + "\n")
+
+
+def write_csv(field, path):
+    """Write one headerless CSV row per field row; the values round-trip losslessly."""
+    write_table(path, field.values.tolist())
 
 
 def read_image_csv(path) -> ImageGrid:

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError, DivergenceError, NonFiniteError
 from .graph import GraphConfig, build_laplacian
-from .grid import ImageGrid, axpy, dot, norm, sub
+from .grid import ImageGrid, axpy, dot, norm, sub, write_table
 from .operators import LinearOperator, NormEstimate
 from .recon import ReconstructorSpec, initial_reconstruction
 
@@ -204,10 +204,6 @@ def solve(
 
 
 def write_trace_csv(trace, path):
-    """One row per visited iterate, shortest round-trip decimals throughout."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k,residual,alpha,beta,laplacian_term_norm,error_to_truth\n")
-        for rec in trace:
-            err = "" if rec.error_to_truth is None else repr(rec.error_to_truth)
-            fh.write(f"{rec.k},{repr(rec.residual)},{repr(rec.alpha)},{repr(rec.beta)},"
-                     f"{repr(rec.laplacian_term_norm)},{err}\n")
+    """One row per visited iterate; the columns are exactly ``IterateRecord``'s fields."""
+    columns = [f.name for f in fields(IterateRecord)]
+    write_table(path, ([getattr(rec, name) for name in columns] for rec in trace), columns)

@@ -89,12 +89,19 @@ def test_arms_differ_only_in_the_graph_term(monkeypatch):
     assert all(r.beta == 0 for r in traces["landweber"])
 
 
-@pytest.mark.parametrize("psis", ["fbp", "adjoint,fbp"])
-def test_bad_cell_exits_two_before_any_solve(tmp_path, psis):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--problem", "deblur", "--psis", "fbp"], "needs projection data", id="fbp"),
+    pytest.param(["--problem", "deblur", "--psis", "adjoint,fbp"], "needs projection data", id="adjoint,fbp"),
+    pytest.param(["--problem", "ct", "--tau", "0.5"], "tau must exceed 1", id="tau"),
+    pytest.param(["--problem", "ct", "--max-iter", "-1"], "max_iter must be >= 0", id="max-iter"),
+    pytest.param(["--problem", "ct", "--angles", "0"], "num_angles must be >= 1", id="angles"),
+    pytest.param(["--problem", "ct", "--sigma", "0"], "sigma must be positive", id="sigma"),
+])
+def test_bad_cell_exits_two_before_any_solve(tmp_path, argv, message):
     out = tmp_path / "out"
-    proc = run_script("--problem", "deblur", "--psis", psis, "--out", str(out))
+    proc = run_script(*argv, "--out", str(out))
     assert proc.returncode == 2
-    assert "needs projection data" in proc.stderr
+    assert message in proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
 

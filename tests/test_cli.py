@@ -22,7 +22,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 def read_report(path):
     header, *rows = path.read_text().splitlines()
-    assert header == cli.REPORT_COLUMNS
+    assert header == ",".join(cli.REPORT_COLUMNS)
     return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
@@ -225,7 +225,7 @@ class TestCtRun:
         assert rc == 0
         lines = (ct_out / "report.csv").read_text().splitlines()
         assert len(lines) == 3
-        assert lines.count(cli.REPORT_COLUMNS) == 1
+        assert lines.count(",".join(cli.REPORT_COLUMNS)) == 1
         assert lines[1] == lines[2]
 
 
@@ -263,8 +263,11 @@ class TestDeblurRun:
 
 class TestExitCodes:
     def test_config_errors_exit_two(self, tmp_path):
-        assert cli.main(["--problem", "deblur", "--psi", "fbp", "--out", str(tmp_path)]) == 2
-        assert cli.main(["--problem", "ct", "--tau", "1.0", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        for argv in (["--problem", "deblur", "--psi", "fbp"], ["--problem", "ct", "--tau", "1.0"],
+                     ["--problem", "ct", "--tau", "0.5"], ["--problem", "deblur", "--rho", "0"]):
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            assert not out.exists(), argv
         assert cli.main([]) == 2
 
     def test_divergence_exits_three_with_partial_trace(self, tmp_path):

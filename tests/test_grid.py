@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import graphlap as gl
-from graphlap.grid import read_image_csv, write_csv, write_pgm
+from graphlap.grid import format_cell, read_image_csv, write_csv, write_pgm, write_table
+from graphlap.solver import IterateRecord, write_trace_csv
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
@@ -153,3 +154,38 @@ class TestSerialization:
         path.write_text("1.0,2.0\n\n3.0,4.0\n")
         img = read_image_csv(path)
         assert np.array_equal(img.values, [[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("value, text", [
+        (7, "7"), (np.int64(7), "7"), (True, "True"), ("adjoint", "adjoint"), (None, ""),
+        (0.1, "0.1"), (-0.0, "-0.0"), (5e-324, "5e-324"), (1e300, "1e+300"), (math.nan, "nan"),
+        (np.float64(0.1), "0.1"), (np.float64(-0.0), "-0.0"), (np.float64(5e-324), "5e-324"),
+        (np.float64(1e300), "1e+300"), (np.float64(math.nan), "nan"),
+    ])
+    def test_cell_text(self, value, text):
+        assert format_cell(value) == text
+
+    def test_append_writes_the_header_once(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, [(1, 0.5)], ("a", "b"), append=True)
+        write_table(path, [(2, None)], ("a", "b"), append=True)
+        assert path.read_text() == "a,b\n1,0.5\n2,\n"
+
+    def test_no_columns_writes_no_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, [("stale",)])
+        write_table(path, [(1, 2.0), ("x", -0.0)])
+        assert path.read_text() == "1,2.0\nx,-0.0\n"
+
+    def test_trace_csv_bytes(self, tmp_path):
+        trace = [
+            IterateRecord(k=0, residual=30.5, alpha=0.1, beta=np.float64(0.0), laplacian_term_norm=5e-324,
+                          error_to_truth=1e300),
+            IterateRecord(k=1, residual=2.0, alpha=0.5, beta=1.0, laplacian_term_norm=0.0),
+        ]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == (b"k,residual,alpha,beta,laplacian_term_norm,error_to_truth\n"
+                                     b"0,30.5,0.1,0.0,5e-324,1e+300\n"
+                                     b"1,2.0,0.5,1.0,0.0,\n")
