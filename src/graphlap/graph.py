@@ -8,17 +8,21 @@ a Gaussian similarity of the two pixel values,
 
 The Laplacian is Delta = D - W with D the diagonal degree matrix, so
 (Delta x)(a) = sum_b w(a, b) (x(a) - x(b)).  Because the weights depend on the
-image, the operator is rebuilt whenever the iterate changes.  It is held as a
-stencil, the nonlocal-graph form of Gilboa & Osher (2008): one weight band per
-lattice offset (di, dj) of the half-set (84 offsets for chebyshev R = 6).
-Since w(a, b) = w(b, a), each weight is evaluated once, on the contiguous flat
-slices u[:n - s] and u[s:] with s = di * width + dj, and an apply scatters it
-to both pixels of the pair.  Nothing is cached between builds.
+image, the operator is rebuilt whenever the iterate changes.  It is a stencil,
+the nonlocal-graph form of Gilboa & Osher (2008): one weight band per lattice
+offset (di, dj) of the half-set (84 offsets for chebyshev R = 6).  Since
+w(a, b) = w(b, a), each weight is evaluated once, on the contiguous flat slices
+u[:n - s] and u[s:] with s = di * width + dj, and scattered to both pixels of
+the pair.
 
-The explicit sparse W, the degrees and the (i, j, w) triplets are assembled
-from the same bands only when asked for (the graph dumps and the tests); the
-solver never builds them.  Weights are kept however small they are, so the
-exported structure holds every within-radius pair.
+A build only holds the image.  The first apply to that image is one pass that
+takes each band's difference u[:n - s] - u[s:], turns it into the band's
+weights and applies them, so Delta_u u needs two scratch buffers and no stored
+bands.  The bands are stored only when the Laplacian is reused for other
+images (a solver that rebuilds every few steps), or when the explicit sparse
+W, the degrees and the (i, j, w) triplets are asked for (the graph dumps and
+the tests).  Nothing is cached between builds.  Weights are kept however small
+they are, so the exported structure holds every within-radius pair.
 """
 
 from __future__ import annotations
@@ -64,56 +68,24 @@ def neighbor_bound(config: GraphConfig) -> int:
     return 2 * r * (r + 1)
 
 
-def _half_offsets(metric: str, r: int):
-    """Offsets (di, dj) within distance r with di > 0, or di == 0 and dj > 0."""
-    offs = []
-    for di in range(r + 1):
-        for dj in range(-r, r + 1):
-            if di == 0 and dj <= 0:
-                continue
-            dist = di + abs(dj) if metric == "manhattan" else max(di, abs(dj))
-            if dist <= r:
-                offs.append((di, dj))
-    return offs
+def _shifts(config: GraphConfig, height: int, width: int):
+    """(dj, s) for every offset (di, dj) of the half-set that fits a pair here.
 
-
-def _bands(image: ImageGrid, config: GraphConfig):
-    """One weight band per offset of the half-set, as (dj, s, w) tuples.
-
-    The half-set meets each unordered pixel pair once.  Offsets that fit no
-    pair on this grid (di >= height or |dj| >= width) are skipped, which makes
-    the flat shift s = di * width + dj at least 1.  ``w[p]`` is the weight of pixels p
-    and p + s; it is 0 where that pair wraps across a row edge, so ``w`` has
-    length n - s.  On grids narrower than 2R two offsets can share one shift,
-    which is why every band keeps its own dj.
+    The half-set holds the offsets within distance floor(R) with di > 0, or
+    di == 0 and dj > 0, so it meets each unordered pixel pair once.  Offsets
+    that fit no pair on this grid (di >= height or |dj| >= width) are skipped,
+    which makes the flat shift s = di * width + dj at least 1.  On grids
+    narrower than 2R two offsets can share one shift, which is why every band
+    keeps its own dj.
     """
-    height, width = image.shape
-    n = height * width
-    flat = image.values.ravel()
     r = math.floor(config.radius)
-    bands = []
-    for di, dj in _half_offsets(config.metric, r):
-        if di >= height or abs(dj) >= width:
-            continue
-        s = di * width + dj
-        m = n - s
-        # the band is padded to n entries so its rows line up with the image
-        w = np.empty(n, dtype=np.float64)
-        d = w[:m]
-        # exp(-(d * d) / sigma), evaluated in place
-        np.subtract(flat[:m], flat[s:], out=d)
-        np.multiply(d, d, out=d)
-        np.negative(d, out=d)
-        np.divide(d, config.sigma, out=d)
-        np.exp(d, out=d)
-        w[m:] = 0.0
-        rows = w.reshape(height, width)
-        if dj > 0:
-            rows[:, width - dj:] = 0.0
-        elif dj < 0:
-            rows[:, :-dj] = 0.0
-        bands.append((dj, s, d))
-    return tuple(bands)
+    for di in range(min(r, height - 1) + 1):
+        for dj in range(-r, r + 1):
+            if (di == 0 and dj <= 0) or abs(dj) >= width:
+                continue
+            dist = di + abs(dj) if config.metric == "manhattan" else max(di, abs(dj))
+            if dist <= r:
+                yield dj, di * width + dj
 
 
 def _valid(height: int, width: int, dj: int, s: int) -> np.ndarray:
@@ -123,18 +95,31 @@ def _valid(height: int, width: int, dj: int, s: int) -> np.ndarray:
     return p[(col + dj >= 0) & (col + dj < width)]
 
 
-@dataclass(frozen=True, eq=False)
 class SparseLaplacian:
-    """Delta = D - W for one image, held as one weight band per lattice offset.
+    """Delta = D - W for one image, evaluated from that image when first needed.
 
-    ``apply`` works on the bands directly.  The explicit matrix (``weights``,
-    ``degrees``, ``triplets``) is assembled from the same bands on first use
-    and kept with this Laplacian.
+    Construction only holds the image and the config.  The first ``apply`` to
+    the build image itself evaluates Delta_u u in one pass over the half-set,
+    each weight band computed and applied in turn; the bands are kept only
+    when ``reuse`` says the Laplacian will be applied to later iterates too.
+    ``apply`` to any other image and the explicit matrix (``weights``,
+    ``degrees``, ``triplets``, for the graph dumps) use the stored bands,
+    evaluated from the held image on first use.
     """
 
-    height: int
-    width: int
-    bands: tuple
+    def __init__(self, image: ImageGrid, config: GraphConfig, reuse: bool = False):
+        self.image = image
+        self.config = config
+        self.reuse = reuse
+        self._bands = None
+
+    @property
+    def height(self) -> int:
+        return self.image.height
+
+    @property
+    def width(self) -> int:
+        return self.image.width
 
     @property
     def n(self) -> int:
@@ -146,20 +131,64 @@ class SparseLaplacian:
         (Delta x)(a) = sum_b w(a, b) (x(a) - x(b)); each band adds its term to
         the first pixel of every pair and subtracts it from the second.
         """
-        if x.shape != (self.height, self.width):
+        if x.shape != self.image.shape:
             raise ShapeMismatch(f"image shape {x.shape} does not match grid ({self.height}, {self.width})")
+        if x is self.image and self._bands is None:
+            out = self._pass(x, keep=self.reuse)
+        else:
+            out = self._pass(x, self.bands)
+        return ImageGrid(out.reshape(self.image.shape))
+
+    @property
+    def bands(self) -> tuple:
+        """One weight array per shift s of ``_shifts``: ``w[p]`` is the weight of
+        pixels p and p + s, 0 where that pair wraps across a row edge."""
+        if self._bands is None:
+            self._pass(self.image, keep=True)
+        return self._bands
+
+    def _pass(self, x: ImageGrid, bands=None, keep=False) -> np.ndarray:
+        """Delta x as a flat array, one offset of the half-set at a time.
+
+        With ``bands`` the stored weights are applied.  Without, x is the
+        build image and each band's weights are evaluated from the difference
+        already in hand, w = exp(d * d / -sigma) (dividing by -sigma rounds
+        exactly like negating and then dividing by sigma); ``keep`` stores
+        them, otherwise one scratch buffer serves every band.
+        """
+        height, width = x.shape
+        n = height * width
         flat = x.values.ravel()
-        n = self.n
         out = np.zeros(n, dtype=np.float64)
-        buf = np.empty(n, dtype=np.float64)
-        for _, s, w in self.bands:
+        diff = np.empty(n, dtype=np.float64)
+        scratch = np.empty(n, dtype=np.float64) if bands is None and not keep else None
+        kept = []
+        for i, (dj, s) in enumerate(_shifts(self.config, height, width)):
             m = n - s
-            t = buf[:m]
-            np.subtract(flat[:m], flat[s:], out=t)
-            t *= w
-            out[:m] += t
-            out[s:] -= t
-        return ImageGrid(out.reshape(self.height, self.width))
+            d = diff[:m]
+            np.subtract(flat[:m], flat[s:], out=d)
+            if bands is None:
+                # the band is padded to n entries so its rows line up with the image
+                padded = np.empty(n, dtype=np.float64) if keep else scratch
+                w = padded[:m]
+                np.multiply(d, d, out=w)
+                np.divide(w, -self.config.sigma, out=w)
+                np.exp(w, out=w)
+                rows = padded.reshape(height, width)
+                if dj > 0:
+                    rows[:, width - dj:] = 0.0
+                elif dj < 0:
+                    rows[:, :-dj] = 0.0
+                if keep:
+                    kept.append(w)
+            else:
+                w = bands[i]
+            d *= w
+            out[:m] += d
+            out[s:] -= d
+        if keep:
+            self._bands = tuple(kept)
+        return out
 
     @cached_property
     def weights(self) -> sparse.csr_matrix:
@@ -167,7 +196,7 @@ class SparseLaplacian:
         zero weights included, columns sorted within each row."""
         row_parts, col_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         val_parts = [np.empty(0, dtype=np.float64)]
-        for dj, s, w in self.bands:
+        for (dj, s), w in zip(_shifts(self.config, self.height, self.width), self.bands):
             p = _valid(self.height, self.width, dj, s)
             row_parts += [p, p + s]
             col_parts += [p + s, p]
@@ -193,15 +222,16 @@ class SparseLaplacian:
         return rows, self.weights.indices.astype(np.int64), self.weights.data
 
 
-def build_laplacian(image: ImageGrid, config: GraphConfig) -> SparseLaplacian:
-    """Build the graph Laplacian of ``image`` under ``config``.
+def build_laplacian(image: ImageGrid, config: GraphConfig, reuse: bool = False) -> SparseLaplacian:
+    """The graph Laplacian of ``image`` under ``config``; nothing is evaluated yet.
 
-    One pass per offset of the half-set evaluates every weight once, on
-    contiguous shifted slices of the flattened image; no index arrays are
-    gathered and nothing is cached between builds.
+    The first ``apply`` to ``image`` gives Delta_u u in one pass that evaluates
+    every weight once, on contiguous shifted slices of the flattened image; no
+    index arrays are gathered and nothing is cached between builds.  Pass
+    ``reuse=True`` when the Laplacian will also be applied to other images:
+    that pass then keeps the weight bands instead of one scratch buffer.
     """
-    height, width = image.shape
-    return SparseLaplacian(height=height, width=width, bands=_bands(image, config))
+    return SparseLaplacian(image, config, reuse)
 
 
 def lipschitz_constant(config: GraphConfig, height: int, width: int) -> float:

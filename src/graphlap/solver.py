@@ -6,6 +6,9 @@ Starting from an initial reconstruction u0 = Psi(v), each step applies
 
 where Delta_{u_k} is the graph Laplacian rebuilt from the current iterate
 (every ``graph_update_period``-th step; in between the last one is reused).
+On a rebuild step Delta_{u_k} u_k comes from one pass over the weight bands,
+which are stored only when the graph will be reused (period > 1); the old
+graph is released before the new one is evaluated.
 Both step sizes adapt to the residual r_k = A u_k - v:
 
     alpha_k = min(eta0 ||r||^2 / ||A* r||^2, eta1)
@@ -159,11 +162,12 @@ def solve(
     threshold = params.tau * delta
     trace: list[IterateRecord] = []
     laplacian = None
+    reuse = params.graph_update_period > 1
     try:
         k = 0
         while True:
             if k % params.graph_update_period == 0 or laplacian is None:
-                laplacian = build_laplacian(u, params.graph)
+                laplacian = build_laplacian(u, params.graph, reuse=reuse)
             r = sub(A.apply(u), v_data)
             residual_sq = dot(r, r)
             residual = math.sqrt(residual_sq)

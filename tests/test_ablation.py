@@ -73,9 +73,9 @@ def test_arms_differ_only_in_the_graph_term(monkeypatch):
     real_build = solver.build_laplacian
     builds = []
 
-    def counting_build(u, graph):
+    def counting_build(u, graph, reuse):
         builds.append(u)
-        return real_build(u, graph)
+        return real_build(u, graph, reuse=reuse)
 
     monkeypatch.setattr(solver, "build_laplacian", counting_build)
     traces, build_counts = {}, {}

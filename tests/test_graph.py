@@ -121,14 +121,33 @@ class TestBuild:
     @pytest.mark.parametrize("shape", [(5, 6), (3, 20), (1, 9), (9, 1)])
     def test_apply_matches_brute_force_on_narrow_grids(self, shape):
         # grids narrower than 2R, where two offsets can share one flat shift
-        # (e.g. (0, 3) and (1, -3) at width 6); x differs from the image
+        # (e.g. (0, 3) and (1, -3) at width 6); x is another image (stored
+        # bands) or the build image itself (the one-pass evaluation)
         rng = np.random.Generator(np.random.Philox(14))
         for cfg in CONFIGS:
             img = gl.ImageGrid(rng.random(shape))
-            x = gl.ImageGrid(rng.random(shape))
-            got = gl.build_laplacian(img, cfg).apply(x).values.ravel()
-            expected = brute_force_laplacian(img, cfg) @ x.values.ravel()
-            assert np.allclose(got, expected, rtol=0, atol=1e-13)
+            dense = brute_force_laplacian(img, cfg)
+            for x in (gl.ImageGrid(rng.random(shape)), img):
+                got = gl.build_laplacian(img, cfg).apply(x).values.ravel()
+                assert np.allclose(got, dense @ x.values.ravel(), rtol=0, atol=1e-13)
+            fused = gl.build_laplacian(img, cfg).apply(img)
+            stored = gl.build_laplacian(img, cfg).apply(gl.ImageGrid(img.values))
+            assert np.array_equal(fused.values, stored.values)
+
+    @pytest.mark.parametrize("metric", ["manhattan", "chebyshev"])
+    def test_one_pass_equals_stored_bands_on_noisy_phantom(self, metric):
+        # the solver's rebuild-step value, bit for bit: one pass over the build
+        # image, with and without keeping the bands, against an apply of the
+        # stored bands to an equal but distinct image
+        truth = gl.shepp_logan(128)
+        rng = np.random.Generator(np.random.Philox(15))
+        img = gl.ImageGrid(truth.values + 0.05 * rng.standard_normal(truth.shape))
+        cfg = gl.GraphConfig(metric=metric)
+        stored = gl.build_laplacian(img, cfg).apply(gl.ImageGrid(img.values)).values
+        assert np.array_equal(gl.build_laplacian(img, cfg).apply(img).values, stored)
+        kept = gl.build_laplacian(img, cfg, reuse=True)
+        assert np.array_equal(kept.apply(img).values, stored)
+        assert np.array_equal(kept.apply(img).values, stored)
 
     def test_triplets_sorted_row_major(self):
         rng = np.random.Generator(np.random.Philox(13))

@@ -202,6 +202,45 @@ class TestRadonTransform:
             A.adjoint(gl.Sinogram(np.zeros((5, 99))))
 
 
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGraphTermMemory:
+    """Peak memory of the graph term Delta_u u, in units of one graph's weight
+    bands (84 bands of n floats for chebyshev R = 6), at 64^2.
+
+    One pass over the build image needs a few images of scratch; a solve that
+    rebuilds the graph every step stores no bands, and one that reuses it
+    holds a single graph's bands, never the old and the new graph together.
+    """
+
+    SIZE = 64
+    BANDS = 84 * SIZE * SIZE * 8
+    IMAGE = SIZE * SIZE * 8
+
+    def test_one_pass_needs_no_bands(self):
+        rng = np.random.Generator(np.random.Philox(39))
+        u = gl.ImageGrid(rng.random((self.SIZE, self.SIZE)))
+        peak = traced_peak(lambda: gl.build_laplacian(u, gl.GraphConfig()).apply(u))
+        assert peak <= 8 * self.IMAGE, f"peak {peak / self.IMAGE:.1f} images"
+
+    @pytest.mark.parametrize("period, limit", [(1, 0.25), (3, 1.3)])
+    def test_solve_holds_at_most_one_graph(self, period, limit):
+        A = gl.GaussianBlur(gl.BlurKernel(rho=1.5), self.SIZE)
+        v = A.apply(gl.shepp_logan(self.SIZE))
+        A.norm_estimate  # computed once per operator; kept out of the measured peak
+        params = gl.SolverParams(max_iter=7, graph_update_period=period)
+        peak = traced_peak(lambda: gl.solve(A, v, 0.0, gl.ReconstructorSpec(kind="adjoint"), params))
+        assert peak <= limit * self.BANDS, f"peak {peak / self.BANDS:.2f}x one graph's bands"
+
+
 class TestBlur:
     def test_kernel_taps_normalized_and_symmetric(self):
         k = gl.BlurKernel(rho=1.5)
