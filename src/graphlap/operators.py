@@ -21,10 +21,18 @@ from .grid import ImageGrid, Sinogram, axpy, dot, norm
 
 
 class LinearOperator:
-    """Matrix-free linear map with fixed domain and range shapes."""
+    """Matrix-free linear map with fixed domain and range shapes.
+
+    ``releases_gil`` says that apply and adjoint spend their time in code
+    that releases the GIL (scipy's sparse matvecs, numpy ufuncs), so the
+    solver evaluates the graph term on a second thread beside them.  An
+    operator that holds the GIL, like the blur's ndimage filters, would only
+    trade it back and forth with that thread, so it stays False there.
+    """
 
     domain_shape: tuple[int, int]
     range_shape: tuple[int, int]
+    releases_gil = False
 
     def apply(self, u):
         raise NotImplementedError
@@ -131,6 +139,8 @@ def _radon_matrix(geometry: RadonGeometry):
 class RadonTransform(LinearOperator):
     """Discrete Radon transform via bilinear interpolation along rays."""
 
+    releases_gil = True
+
     def __init__(self, geometry: RadonGeometry):
         self.geometry = geometry
         self.domain_shape = (geometry.image_size, geometry.image_size)
@@ -218,6 +228,8 @@ class GaussianBlur(LinearOperator):
 
 class ScaledIdentity(LinearOperator):
     """c times the identity; handy for tests and degenerate configurations."""
+
+    releases_gil = True
 
     def __init__(self, scale: float, size: int):
         self.scale = float(scale)

@@ -2,12 +2,15 @@
 
 import logging
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import graphlap as gl
 from graphlap import operators
+from graphlap.graph import SparseLaplacian
 from graphlap.solver import (
     DISCREPANCY_MET,
     MAX_ITER_REACHED,
@@ -195,6 +198,14 @@ class TestDiagnostics:
         assert not [r for r in caplog.records if r.name == "graphlap.solver"]
 
 
+def diverging_case():
+    """A ScaledIdentity solve whose steps overflow within a few iterates."""
+    rng = np.random.Generator(np.random.Philox(85))
+    v = gl.ImageGrid(rng.random((8, 8)))
+    params = gl.SolverParams(eta0=1e12, eta1=1e12, nu0=0.0, nu1=0.0, wp=1.0, max_iter=500)
+    return gl.ScaledIdentity(1.0, 8), v, params
+
+
 class TestSolve:
     def test_rejects_negative_delta(self):
         A, truth, clean, noisy, delta = ct16_problem()
@@ -274,15 +285,105 @@ class TestSolve:
             assert abs(rec.residual - expected) <= 1e-10 * expected
 
     def test_divergence_raises_with_partial_trace(self):
-        rng = np.random.Generator(np.random.Philox(85))
-        v = gl.ImageGrid(rng.random((8, 8)))
-        params = gl.SolverParams(eta0=1e12, eta1=1e12, nu0=0.0, nu1=0.0,
-                                 wp=1.0, max_iter=500)
+        A, v, params = diverging_case()
         with np.errstate(all="ignore"), pytest.raises(gl.DivergenceError) as err:
-            gl.solve(gl.ScaledIdentity(1.0, 8), v, 0.0, TIK1, params)
+            gl.solve(A, v, 0.0, TIK1, params)
         trace = err.value.trace
         assert len(trace) > 1
         assert trace[-1].residual > trace[0].residual
+
+
+class TestGraphTermWorker:
+    def test_graph_term_overlaps_the_forward_operator(self, monkeypatch):
+        # A.apply waits for the graph term to start; evaluated one after the
+        # other on one thread, the wait times out on every iterate.
+        started = threading.Event()
+        apply = SparseLaplacian.apply
+
+        def signalling(self, x):
+            started.set()
+            return apply(self, x)
+
+        class Waiting(gl.ScaledIdentity):
+            seen = None
+
+            def apply(self, u):
+                if self.seen is not None:
+                    self.seen.append(started.wait(2.0))
+                return super().apply(u)
+
+            def adjoint(self, s):
+                started.clear()
+                return super().apply(s)
+
+        monkeypatch.setattr(SparseLaplacian, "apply", signalling)
+        rng = np.random.Generator(np.random.Philox(86))
+        v = gl.ImageGrid(rng.random((8, 8)))
+        A = Waiting(0.5, 8)
+        A.norm_estimate  # estimated before the waits are armed
+        A.seen = []
+        res = gl.solve(A, v, 0.0, ADJOINT, gl.SolverParams(max_iter=2))
+        assert len(res.trace) == 3
+        assert A.seen == [True] * len(res.trace)
+
+    @pytest.mark.parametrize("releases_gil", [True, False])
+    def test_graph_term_thread_follows_the_operator(self, monkeypatch, releases_gil):
+        # the blur holds the GIL, so its graph term stays on the calling thread
+        threads = []
+        apply = SparseLaplacian.apply
+
+        def recording(self, x):
+            threads.append(threading.get_ident())
+            return apply(self, x)
+
+        monkeypatch.setattr(SparseLaplacian, "apply", recording)
+        if releases_gil:
+            A, truth, clean, noisy, delta = ct16_problem()
+        else:
+            A = gl.GaussianBlur(gl.BlurKernel(rho=1.0), 12)
+            noisy, delta = A.apply(gl.shepp_logan(12)), 0.0
+        assert A.releases_gil is releases_gil
+        res = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=3))
+        assert len(threads) == len(res.trace)
+        on_caller = [t == threading.get_ident() for t in threads]
+        assert on_caller == [not releases_gil] * len(threads)
+
+    def test_callers_errstate_reaches_the_worker(self):
+        A, v, params = diverging_case()
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(gl.DivergenceError):
+                gl.solve(A, v, 0.0, TIK1, params)
+        assert [str(w.message) for w in caught] == []
+
+    def test_no_thread_outlives_solve(self):
+        before = threading.active_count()
+        A, truth, clean, noisy, delta = ct16_problem()
+        gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=3))
+        assert threading.active_count() == before
+        A, v, params = diverging_case()
+        with np.errstate(all="ignore"), pytest.raises(gl.DivergenceError):
+            gl.solve(A, v, 0.0, TIK1, params)
+        assert threading.active_count() == before
+
+    def test_non_finite_graph_term_raises_divergence_with_partial_trace(self, monkeypatch):
+        calls = []
+        apply = SparseLaplacian.apply
+
+        def failing_third(self, x):
+            calls.append(x)
+            if len(calls) == 3:
+                raise gl.NonFiniteError("graph term is not finite")
+            return apply(self, x)
+
+        monkeypatch.setattr(SparseLaplacian, "apply", failing_third)
+        before = threading.active_count()
+        A, truth, clean, noisy, delta = ct16_problem()
+        with pytest.raises(gl.DivergenceError) as err:
+            gl.solve(A, clean, 0.0, ADJOINT, gl.SolverParams(max_iter=10))
+        assert str(err.value) == "iteration diverged at step 2: graph term is not finite"
+        assert [rec.k for rec in err.value.trace] == [0, 1]
+        assert threading.active_count() == before
 
 
 class TestDeterminism:
