@@ -3,8 +3,10 @@
 Every operator is linear with an adjoint that is the exact transpose of the
 forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
 rounding error.  The Radon transform is assembled once per geometry as a
-sparse matrix (the adjoint is literally its transpose), the blur is a
-separable zero-padded convolution with symmetric taps (hence self-adjoint).
+sparse matrix held in two pixel-column blocks; its adjoint runs the blocks'
+transposes (CSC views of the same arrays), and both give the bytes of the
+one-matrix products.  The blur is a separable zero-padded convolution with
+symmetric taps (hence self-adjoint).
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
+from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, ShapeMismatch
+from .forkjoin import fork_join
 from .grid import ImageGrid, Sinogram, axpy, dot, norm
 
 
@@ -24,10 +28,13 @@ class LinearOperator:
     """Matrix-free linear map with fixed domain and range shapes.
 
     ``releases_gil`` says that apply and adjoint spend their time in code
-    that releases the GIL (scipy's sparse matvecs, numpy ufuncs), so the
-    solver evaluates the graph term on a second thread beside them.  An
-    operator that holds the GIL, like the blur's ndimage filters, would only
-    trade it back and forth with that thread, so it stays False there.
+    that releases the GIL (scipy's sparse matvecs, numpy ufuncs), so a solve
+    on the operator opens one worker thread (``forkjoin.second_core``): the
+    Radon transform hands half of each A and A* to it outside the loop, and
+    the loop evaluates the graph term on it beside A and A*.  An operator
+    that holds the GIL, like the blur's ndimage filters, would only trade it
+    back and forth with that thread, so it stays False there and its solves
+    run on one thread.
     """
 
     domain_shape: tuple[int, int]
@@ -89,16 +96,21 @@ class RadonGeometry:
 
 @functools.lru_cache(maxsize=4)  # geometries whose matrices are kept
 def _radon_matrix(geometry: RadonGeometry):
-    """Forward projection matrix in CSR form, cached per geometry.
+    """Forward projection matrix as two CSR pixel-column blocks, cached per geometry.
 
     Each ray (row) belongs to exactly one angle, so the matrix is assembled
     one angle's block of rows at a time and the blocks are stacked: only one
     angle's (ray, pixel, weight) entries are alive at once.  ``tocsr`` orders
     each row's entries and sums its duplicates from the same input sequence
-    as one global conversion would, so the stacked arrays are the same bytes.
+    as one global conversion would.  Each angle's block is then cut at pixel
+    ``n // 2``: the left block keeps the columns below the cut, the right
+    block the rest, renumbered from zero.  A row of the whole matrix is its
+    row of the left block followed by its row of the right block, so the two
+    blocks hold the same bytes as one global conversion, plus one ``indptr``.
     """
     size = geometry.image_size
     d = geometry.num_detectors
+    cut = size * size // 2
     center = (size - 1) / 2.0
     offsets = geometry.detector_offsets
     half_span = math.ceil(math.sqrt(2.0) * size / 2.0)
@@ -107,7 +119,7 @@ def _radon_matrix(geometry: RadonGeometry):
     # gather, concatenate and sort during assembly
     ray = np.broadcast_to(np.arange(d, dtype=np.int32)[:, None], (d, steps.size))
 
-    blocks = []
+    lefts, rights = [], []
     for theta in geometry.angles:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
         # sample points of all (detector, step) pairs for this angle
@@ -127,17 +139,36 @@ def _radon_matrix(geometry: RadonGeometry):
                 rows_parts.append(ray[ok])
                 cols_parts.append((yc[ok] * size + xc[ok]))
                 vals_parts.append(w[ok])
-        blocks.append(sparse.coo_matrix(
+        block = sparse.coo_matrix(
             (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
             shape=(d, size * size),
-        ).tocsr())
+        ).tocsr()
+        # a row's entries are sorted by column, so its left-block entries come
+        # first; the right-block entries before a row's start give that row's
+        # pointer in the right block
+        left = block.indices < cut
+        right = np.flatnonzero(~left)
+        right_ptr = np.searchsorted(right, block.indptr).astype(block.indptr.dtype)
+        lefts.append(sparse.csr_matrix((block.data[left], block.indices[left], block.indptr - right_ptr),
+                                       shape=(d, cut)))
+        rights.append(sparse.csr_matrix((block.data[right], block.indices[right] - cut, right_ptr),
+                                        shape=(d, size * size - cut)))
     # stacking CSR blocks concatenates their data and indices and offsets
     # their row pointers; nothing is re-sorted
-    return sparse.vstack(blocks, format="csr")
+    return sparse.vstack(lefts, format="csr"), sparse.vstack(rights, format="csr")
 
 
 class RadonTransform(LinearOperator):
-    """Discrete Radon transform via bilinear interpolation along rays."""
+    """Discrete Radon transform via bilinear interpolation along rays.
+
+    The matrix is held as two pixel-column blocks (``_radon_matrix``).  A runs
+    two halves of the rays and A* the two blocks' CSC views, one half into
+    each half of the pixels; ``fork_join`` hands the second half to the
+    solve's worker when one is free.  ``csr_matvec`` and ``csc_matvec`` add
+    into their output, so every ray and every pixel sums the same terms in
+    the same order as the one-matrix product ``M @ x`` or ``M.T @ s``, and
+    the results are the same bytes.
+    """
 
     releases_gil = True
 
@@ -145,19 +176,37 @@ class RadonTransform(LinearOperator):
         self.geometry = geometry
         self.domain_shape = (geometry.image_size, geometry.image_size)
         self.range_shape = (geometry.num_angles, geometry.num_detectors)
-        self._forward = _radon_matrix(geometry)
+        self._left, self._right = _radon_matrix(geometry)
 
     def apply(self, u: ImageGrid) -> Sinogram:
         self._check_domain(u)
-        out = self._forward @ u.values.ravel()
+        x = u.values.ravel()
+        cut = self._left.shape[1]
+        out = np.zeros(self._left.shape[0])
+
+        def rays(lo, hi):
+            # each ray adds its left-block terms, then its right-block ones
+            for block, part in ((self._left, x[:cut]), (self._right, x[cut:])):
+                _sparsetools.csr_matvec(hi - lo, block.shape[1], block.indptr[lo:hi + 1], block.indices,
+                                        block.data, part, out[lo:hi])
+
+        mid = out.size // 2
+        fork_join(lambda: rays(0, mid), lambda: rays(mid, out.size))
         return Sinogram(out.reshape(self.range_shape))
 
     def adjoint(self, s: Sinogram) -> ImageGrid:
         if not isinstance(s, Sinogram) or s.shape != self.range_shape:
             raise ShapeMismatch(f"expected a Sinogram of shape {self.range_shape}")
-        # a CSC view of the forward arrays: each pixel sums over increasing
-        # ray index, as the matvec of the explicit transpose would
-        out = self._forward.T @ s.values.ravel()
+        y = s.values.ravel()
+        cut = self._left.shape[1]
+        out = np.zeros(cut + self._right.shape[1])
+
+        def pixels(block, part):
+            # the block's CSC view: each pixel sums over increasing ray index
+            _sparsetools.csc_matvec(block.shape[1], block.shape[0], block.indptr, block.indices, block.data,
+                                    y, part)
+
+        fork_join(lambda: pixels(self._left, out[:cut]), lambda: pixels(self._right, out[cut:]))
         return ImageGrid(out.reshape(self.domain_shape))
 
 

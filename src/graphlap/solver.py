@@ -9,14 +9,17 @@ where Delta_{u_k} is the graph Laplacian rebuilt from the current iterate
 On a rebuild step Delta_{u_k} u_k comes from one pass over the weight bands,
 which are stored only when the graph will be reused (period > 1); the old
 graph is released before the new one is evaluated.
-The two terms depend only on u_k, so when A and A* release the GIL
-(``A.releases_gil``: the Radon transform's sparse matvecs do, the blur's
-ndimage filters do not) Delta_{u_k} u_k is evaluated on one worker thread
-while the main thread computes r_k and A* r_k; the two meet before the step
-sizes.  Each solve owns its worker and joins it before returning or raising,
-and the worker runs in a copy of the caller's context, so ``np.errstate``
-applies to it too.  Every value comes from the same calls as a serial
-evaluation, so the trace is byte-identical to one.
+When A and A* release the GIL (``A.releases_gil``: the Radon transform's
+sparse matvecs do, the blur's ndimage filters do not) the solve opens one
+worker thread for its whole run (``forkjoin.second_core``).  The initializer
+and the norm estimate hand half of each A and A* to it.  In the loop the two
+terms depend only on u_k, so one ``fork_join`` evaluates Delta_{u_k} u_k on
+the worker while the calling thread computes r_k and A* r_k, whose halves
+then stay on the calling thread; the two meet before the step sizes.  The
+worker is joined before the solve returns or raises, and it runs in a copy of
+the caller's context, so ``np.errstate`` applies to it too.  Every value comes
+from the same calls as a serial evaluation, so the trace is byte-identical to
+one.
 Both step sizes adapt to the residual r_k = A u_k - v:
 
     alpha_k = min(eta0 ||r||^2 / ||A* r||^2, eta1)
@@ -38,13 +41,13 @@ about.  A norm estimate that did not converge logs a WARNING.
 from __future__ import annotations
 
 import contextlib
-import contextvars
+import functools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError, DivergenceError, NonFiniteError
+from .forkjoin import fork_join, second_core
 from .graph import GraphConfig, build_laplacian
 from .grid import ImageGrid, axpy, dot, norm, sub, write_table
 from .operators import LinearOperator, NormEstimate
@@ -138,6 +141,15 @@ def constant_c(params: SolverParams, eta: float, wp: float) -> float:
     return eta - params.eta1 / params.tau - params.nu0 * (wp + params.nu1) - params.eta0 * params.eta1
 
 
+def _residual_and_gradient(A: LinearOperator, u: ImageGrid, v_data):
+    """||A u - v||^2 and A*(A u - v); raises before A* when the residual is not finite."""
+    r = sub(A.apply(u), v_data)
+    residual_sq = dot(r, r)
+    if not math.isfinite(residual_sq):
+        raise NonFiniteError("residual is not finite")
+    return residual_sq, A.adjoint(r)
+
+
 def solve(
     A: LinearOperator,
     v_data,
@@ -158,41 +170,35 @@ def solve(
     if v_data.shape != A.range_shape:
         raise ConfigurationError(f"data shape {v_data.shape} does not match operator range {A.range_shape}")
 
-    u = initial_reconstruction(A, v_data, psi)
-    norm_est = A.norm_estimate
-    eta = eta_floor(params, norm_est.value)
-    if not norm_est.converged:
-        logger.warning("operator norm estimate %.6g did not converge in %d power iterations",
-                       norm_est.value, norm_est.iterations)
-    wp = params.wp if params.wp is not None else norm(u)
-    c_value = constant_c(params, eta, wp)
-    logger.info("wp = %.6g (%s), C = %.6g (%s), ||A|| estimate = %.6g",
-                wp, "given" if params.wp is not None else "defaulted to ||u0||",
-                c_value, "positive" if c_value > 0 else "not positive", norm_est.value)
+    # one worker only where A and A* release the GIL; with the blur it would
+    # just trade the GIL back and forth with the main thread
+    with second_core() if A.releases_gil else contextlib.nullcontext():
+        u = initial_reconstruction(A, v_data, psi)
+        norm_est = A.norm_estimate
+        eta = eta_floor(params, norm_est.value)
+        if not norm_est.converged:
+            logger.warning("operator norm estimate %.6g did not converge in %d power iterations",
+                           norm_est.value, norm_est.iterations)
+        wp = params.wp if params.wp is not None else norm(u)
+        c_value = constant_c(params, eta, wp)
+        logger.info("wp = %.6g (%s), C = %.6g (%s), ||A|| estimate = %.6g",
+                    wp, "given" if params.wp is not None else "defaulted to ||u0||",
+                    c_value, "positive" if c_value > 0 else "not positive", norm_est.value)
 
-    threshold = params.tau * delta
-    trace: list[IterateRecord] = []
-    laplacian = None
-    reuse = params.graph_update_period > 1
-    try:
-        # a worker only where A and A* release the GIL; with the blur it would
-        # just trade the GIL back and forth with the main thread
-        pool = ThreadPoolExecutor(max_workers=1) if A.releases_gil else None
-        with pool or contextlib.nullcontext():
+        threshold = params.tau * delta
+        trace: list[IterateRecord] = []
+        laplacian = None
+        reuse = params.graph_update_period > 1
+        try:
             k = 0
             while True:
                 if k % params.graph_update_period == 0 or laplacian is None:
                     laplacian = build_laplacian(u, params.graph, reuse=reuse)
-                pending = pool.submit(contextvars.copy_context().run, laplacian.apply, u) if pool else None
-                r = sub(A.apply(u), v_data)
-                residual_sq = dot(r, r)
+                # a non-finite residual takes precedence over anything the graph
+                # term raises: the fork drops that and joins the worker
+                (residual_sq, g), lap_term = fork_join(functools.partial(_residual_and_gradient, A, u, v_data),
+                                                       functools.partial(laplacian.apply, u))
                 residual = math.sqrt(residual_sq)
-                if not math.isfinite(residual):
-                    # takes precedence over anything the pending graph term raises:
-                    # leaving the with block discards that future and joins the worker
-                    raise NonFiniteError("residual is not finite")
-                g = A.adjoint(r)
-                lap_term = pending.result() if pending else laplacian.apply(u)
                 q = norm(lap_term)
                 alpha = step_alpha(residual_sq, dot(g, g), params)
                 beta = step_beta(q, residual, params)
@@ -211,8 +217,8 @@ def solve(
                 if beta != 0.0:
                     u = axpy(-beta, lap_term, u)
                 k += 1
-    except NonFiniteError as exc:
-        raise DivergenceError(f"iteration diverged at step {len(trace)}: {exc}", trace=tuple(trace)) from exc
+        except NonFiniteError as exc:
+            raise DivergenceError(f"iteration diverged at step {len(trace)}: {exc}", trace=tuple(trace)) from exc
 
     return SolveResult(
         final_iterate=u,

@@ -1,6 +1,9 @@
 """Forward operators: Radon transform, Gaussian blur, norm estimation."""
 
+import contextlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from scipy import sparse
 
 import graphlap as gl
+from graphlap.forkjoin import second_core
 from graphlap.operators import _radon_matrix
 
 
@@ -43,6 +47,26 @@ def global_coo_radon(geometry):
         (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(geometry.num_angles * d, size * size),
     ).tocsr()
+
+
+def rejoined(left, right):
+    """The CSR arrays of the matrix [left | right]: each row's left-block
+    entries, then its right-block entries moved past the left block's columns."""
+    indices, data = [], []
+    for i in range(left.shape[0]):
+        for block, shift in ((left, 0), (right, left.shape[1])):
+            lo, hi = block.indptr[i], block.indptr[i + 1]
+            indices.append(block.indices[lo:hi] + shift)
+            data.append(block.data[lo:hi])
+    return {"indptr": left.indptr + right.indptr, "indices": np.concatenate(indices), "data": np.concatenate(data)}
+
+
+# from a 2x2 image seen at one angle up; the odd sizes 3, 9 and 33 have odd
+# pixel counts, which the blocks cut into unequal halves
+BIT_GEOMETRIES = [(2, 1), (3, 2), (9, 5), (16, 7), (33, 10), (64, 30)]
+# outside a solve the halves run one after the other on the calling thread;
+# inside a solve's worker block the second half runs on the worker
+SERIAL_AND_SPLIT = (contextlib.nullcontext, second_core)
 
 
 def dense_forward(A, n_pixels):
@@ -142,44 +166,96 @@ class TestRadonTransform:
         worst = max(np.linalg.norm(row - mean_row) for row in s)
         assert worst <= 0.02 * np.linalg.norm(mean_row)
 
-    @pytest.mark.parametrize("size,angles", [(2, 1), (3, 2), (9, 5), (16, 7), (33, 10), (64, 30)])
+    @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
     def test_angle_blocks_equal_global_assembly_bytes(self, size, angles):
         geom = gl.RadonGeometry(size, angles)
-        got = _radon_matrix.__wrapped__(geom)
+        left, right = _radon_matrix.__wrapped__(geom)
         want = global_coo_radon(geom)
+        cut = size * size // 2
+        assert left.shape == (want.shape[0], cut) and right.shape == (want.shape[0], size * size - cut)
+        assert np.all(left.indices < cut) and np.all((right.indices >= 0) & (right.indices < size * size - cut))
+        got = rejoined(left, right)
         for part in ("indptr", "indices", "data"):
-            assert getattr(got, part).dtype == getattr(want, part).dtype
-            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+            assert got[part].dtype == getattr(want, part).dtype
+            assert np.array_equal(got[part], getattr(want, part)), part
 
-    @pytest.mark.parametrize("size,angles", [(9, 5), (33, 10)])
+    @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
     def test_adjoint_bits_equal_explicit_transpose(self, size, angles):
         geom = gl.RadonGeometry(size, angles)
         A = gl.RadonTransform(geom)
         back = global_coo_radon(geom).T.tocsr()
         rng = np.random.Generator(np.random.Philox(38))
-        for _ in range(3):
-            s = rng.standard_normal(A.range_shape)
-            got = A.adjoint(gl.Sinogram(s)).values.ravel()
-            assert got.tobytes() == (back @ s.ravel()).tobytes()
+        for where in SERIAL_AND_SPLIT:
+            with where():
+                for _ in range(3):
+                    s = rng.standard_normal(A.range_shape)
+                    got = A.adjoint(gl.Sinogram(s)).values.ravel()
+                    assert got.tobytes() == (back @ s.ravel()).tobytes(), where.__name__
+
+    @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
+    def test_apply_bits_equal_global_matrix(self, size, angles):
+        geom = gl.RadonGeometry(size, angles)
+        A = gl.RadonTransform(geom)
+        forward = global_coo_radon(geom)
+        rng = np.random.Generator(np.random.Philox(37))
+        for where in SERIAL_AND_SPLIT:
+            with where():
+                for _ in range(3):
+                    x = rng.standard_normal(A.domain_shape)
+                    got = A.apply(gl.ImageGrid(x)).values.ravel()
+                    assert got.tobytes() == (forward @ x.ravel()).tobytes(), where.__name__
+
+    def test_concurrent_callers_each_keep_their_own_worker(self):
+        # four callers, each in its own worker block, on one shared operator:
+        # eight threads on two cores, switching as often as the interpreter can
+        A = gl.RadonTransform(gl.RadonGeometry(33, 10))
+        rng = np.random.Generator(np.random.Philox(36))
+        u = gl.ImageGrid(rng.standard_normal(A.domain_shape))
+        s = gl.Sinogram(rng.standard_normal(A.range_shape))
+        want = (A.apply(u).values.tobytes(), A.adjoint(s).values.tobytes())
+        same = []
+
+        def caller():
+            with second_core():
+                for _ in range(50):
+                    same.append((A.apply(u).values.tobytes(), A.adjoint(s).values.tobytes()) == want)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in callers)
+        assert same == [True] * 200
 
     def test_holds_one_sparse_matrix(self):
-        A = gl.RadonTransform(gl.RadonGeometry(16, 7))
+        # the matrix's entries, once, split between its two pixel-column
+        # blocks; no transpose or other copy is kept beside them
+        geom = gl.RadonGeometry(16, 7)
+        A = gl.RadonTransform(geom)
         held = [m for m in vars(A).values() if sparse.issparse(m)]
-        assert len(held) == 1
-        assert held[0].format == "csr"
-        assert held[0].shape == (A.range_shape[0] * A.range_shape[1], 16 * 16)
+        assert len(held) == 2
+        assert [m.format for m in held] == ["csr", "csr"]
+        rays = A.range_shape[0] * A.range_shape[1]
+        assert [m.shape for m in held] == [(rays, 128), (rays, 128)]
+        assert sum(m.nnz for m in held) == global_coo_radon(geom).nnz
 
     def test_assembly_memory_stays_near_the_matrix(self):
         # one angle's entries alive at a time: the peak stays a few times the
-        # matrix, and nothing but the matrix is kept
+        # matrix, and nothing but the matrix's two blocks is kept
         geom = gl.RadonGeometry(64, 30)
         tracemalloc.start()
         try:
-            matrix = _radon_matrix.__wrapped__(geom)
+            blocks = _radon_matrix.__wrapped__(geom)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
         assert peak <= 4.0 * size, f"peak {peak / size:.2f}x the matrix bytes"
         assert retained <= 1.1 * size, f"retained {retained / size:.2f}x the matrix bytes"
 
@@ -187,7 +263,7 @@ class TestRadonTransform:
         geom = gl.RadonGeometry(8, 5)
         a = gl.RadonTransform(geom)
         b = gl.RadonTransform(gl.RadonGeometry(8, 5))
-        assert a._forward is b._forward
+        assert a._left is b._left and a._right is b._right
         assert _radon_matrix.cache_info().currsize >= 1
         # bounded: a sweep over many geometries keeps only the latest few
         for n in range(2, 2 + 2 * _radon_matrix.cache_info().maxsize):

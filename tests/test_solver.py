@@ -3,13 +3,15 @@
 import logging
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import _sparsetools
 
 import graphlap as gl
-from graphlap import operators
+from graphlap import operators, solver
 from graphlap.graph import SparseLaplacian
 from graphlap.solver import (
     DISCREPANCY_MET,
@@ -383,6 +385,76 @@ class TestGraphTermWorker:
             gl.solve(A, clean, 0.0, ADJOINT, gl.SolverParams(max_iter=10))
         assert str(err.value) == "iteration diverged at step 2: graph term is not finite"
         assert [rec.k for rec in err.value.trace] == [0, 1]
+        assert threading.active_count() == before
+
+
+def record_matvec_threads(monkeypatch):
+    """Log (kernel, thread) for every call of scipy's two sparse matvec kernels."""
+    calls = []
+    for name in ("csr_matvec", "csc_matvec"):
+        def recording(*args, _name=name, _kernel=getattr(_sparsetools, name)):
+            calls.append((_name, threading.get_ident()))
+            return _kernel(*args)
+
+        monkeypatch.setattr(_sparsetools, name, recording)
+    return calls
+
+
+class TestMatvecHalves:
+    def test_tikhonov_start_runs_its_halves_on_two_threads(self, monkeypatch):
+        A, truth, clean, noisy, delta = ct16_problem()
+        A.norm_estimate  # estimated before the calls are recorded
+        calls = record_matvec_threads(monkeypatch)
+        before = threading.active_count()
+        gl.solve(A, noisy, delta, TIK1, gl.SolverParams(max_iter=0))
+        main = threading.get_ident()
+        workers = {t for _, t in calls if t != main}
+        assert len(workers) == 1
+        for kernel in ("csr_matvec", "csc_matvec"):
+            assert {t for name, t in calls if name == kernel} == workers | {main}, kernel
+        assert threading.active_count() == before
+
+    def test_loop_halves_stay_on_the_calling_thread(self, monkeypatch):
+        # the loop's fork holds the worker for the graph term, so A and A*
+        # run both their halves where the loop runs
+        A, truth, clean, noisy, delta = ct16_problem()
+        A.norm_estimate
+        u0 = A.adjoint(noisy)
+        monkeypatch.setattr(solver, "initial_reconstruction", lambda A, v, spec: u0)
+        calls = record_matvec_threads(monkeypatch)
+        graph_threads = []
+        apply = SparseLaplacian.apply
+
+        def recording(self, x):
+            graph_threads.append(threading.get_ident())
+            return apply(self, x)
+
+        monkeypatch.setattr(SparseLaplacian, "apply", recording)
+        res = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=3))
+        main = threading.get_ident()
+        # A: two ray halves of two blocks each; A*: one call per block
+        assert len(calls) == 6 * len(res.trace)
+        assert {t for _, t in calls} == {main}
+        assert len(graph_threads) == len(res.trace) and main not in graph_threads
+
+    def test_worker_half_error_surfaces_after_the_join(self, monkeypatch):
+        main = threading.get_ident()
+        on_main = []
+        csc = _sparsetools.csc_matvec
+
+        def failing_off_main(*args):
+            if threading.get_ident() != main:
+                time.sleep(0.05)  # the calling thread's half is done long before
+                raise RuntimeError("worker half failed")
+            on_main.append(csc(*args))
+
+        monkeypatch.setattr(_sparsetools, "csc_matvec", failing_off_main)
+        before = threading.active_count()
+        A, truth, clean, noisy, delta = ct16_problem()
+        with pytest.raises(RuntimeError, match="worker half failed"):
+            gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=3))
+        # the adjoint start's own half ran, and nothing after the failed fork
+        assert len(on_main) == 1
         assert threading.active_count() == before
 
 
