@@ -1,15 +1,17 @@
 """Initial reconstructions used to start the outer iteration.
 
 Four choices: the plain adjoint A* v, filtered back-projection, Tikhonov via
-conjugate gradients on the normal equations, and a total-variation denoising
-of the FBP image computed with Chambolle's dual projection algorithm.  The
-first three are linear in the data; the TV step is a proximal mapping and
-therefore nonexpansive, so all four are Lipschitz as maps of the data.
+preconditioned conjugate gradients on the normal equations (the preconditioner
+is a circulant fitted to A* A), and a total-variation denoising of the FBP
+image computed with Chambolle's dual projection algorithm.  The first three
+are linear in the data; the TV step is a proximal mapping and therefore
+nonexpansive, so all four are Lipschitz as maps of the data.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +39,14 @@ class ReconstructorSpec:
     def __post_init__(self):
         if self.kind not in PSI_KINDS:
             raise ConfigurationError(f"kind must be one of {PSI_KINDS}, got {self.kind!r}")
-        if not (self.tikhonov_weight > 0):
-            raise ConfigurationError("tikhonov_weight must be positive")
-        if not (self.tv_weight > 0):
-            raise ConfigurationError("tv_weight must be positive")
+        for name in ("tikhonov_weight", "cg_tol", "tv_weight", "tv_step", "tv_tol"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("cg_max_iter", "tv_max_iter"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def psi_adjoint(A: LinearOperator, v) -> ImageGrid:
@@ -77,8 +83,37 @@ def psi_fbp(geometry: RadonGeometry, v: Sinogram) -> ImageGrid:
     return ImageGrid((math.pi / geometry.num_angles) * back.values)
 
 
+def _normal_preconditioner(A: LinearOperator, lam: float):
+    """P^-1 for A* A + lam I: the inverse of a circulant fitted to A* A.
+
+    One probe applies A* A to the unit image at the centre pixel; rolled so
+    the centre sits at the origin, the real part of its FFT on the image's own
+    (periodic) grid, clipped at 0, is the symbol.  The symbol is real and even,
+    so P^-1 r = irfft2(rfft2(r) / (symbol + lam)) is symmetric positive
+    definite for every lam > 0 and preconditioned CG is valid for any
+    operator; only the speed depends on how shift-invariant A* A is.
+
+    The grid is the image's own, not a 2N zero-padded one: at CT 128^2 x 180
+    the padded grid saves 2-3 of about 22 iterations, but its FFTs cost four
+    times as much and it doubled the time of the deblur 256^2 start.
+    """
+    shape = A.domain_shape
+    centre = (shape[0] // 2, shape[1] // 2)
+    probe = np.zeros(shape)
+    probe[centre] = 1.0
+    response = A.adjoint(A.apply(ImageGrid(probe))).values
+    symbol = np.fft.rfft2(np.roll(response, (-centre[0], -centre[1]), axis=(0, 1))).real
+    inverse = 1.0 / (np.maximum(symbol, 0.0) + lam)
+
+    def solve(r: ImageGrid) -> ImageGrid:
+        return ImageGrid(np.fft.irfft2(np.fft.rfft2(r.values) * inverse, s=shape))
+
+    return solve
+
+
 def psi_tikhonov(A: LinearOperator, v, spec: ReconstructorSpec) -> ImageGrid:
-    """Solve (A* A + lambda I) u = A* v by conjugate gradients from zero.
+    """Solve (A* A + lambda I) u = A* v by preconditioned conjugate gradients
+    from zero, with the circulant preconditioner of _normal_preconditioner.
 
     Stops when the residual of the normal equations has dropped below
     ``cg_tol`` relative to the right-hand side.
@@ -89,22 +124,25 @@ def psi_tikhonov(A: LinearOperator, v, spec: ReconstructorSpec) -> ImageGrid:
     x = ImageGrid(np.zeros(A.domain_shape))
     if b_norm == 0.0:
         return x
+    precondition = _normal_preconditioner(A, lam)
     r = b  # residual of the normal equations at x = 0
-    p = r
-    rs = dot(r, r)
+    z = precondition(r)
+    p = z
+    rz = dot(r, z)
     for _ in range(spec.cg_max_iter):
         ap = axpy(lam, p, A.adjoint(A.apply(p)))
-        step = rs / dot(p, ap)
+        step = rz / dot(p, ap)
         x = axpy(step, p, x)
         r = axpy(-step, ap, r)
-        rs_next = dot(r, r)
-        if math.sqrt(rs_next) <= spec.cg_tol * b_norm:
+        if norm(r) <= spec.cg_tol * b_norm:
             return x
-        p = axpy(rs_next / rs, p, r)
-        rs = rs_next
+        z = precondition(r)
+        rz_next = dot(r, z)
+        p = axpy(rz_next / rz, p, z)
+        rz = rz_next
     raise ConvergenceError(
         f"conjugate gradients did not reach tol {spec.cg_tol} in {spec.cg_max_iter} iterations",
-        residual=math.sqrt(rs) / b_norm,
+        residual=norm(r) / b_norm,
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphlap as gl
-from graphlap.recon import filter_sinogram, initial_reconstruction, tv_energy, tv_prox
+from graphlap.recon import _normal_preconditioner, filter_sinogram, initial_reconstruction, tv_energy, tv_prox
 
 GEOM8 = gl.RadonGeometry(8, 6)
 
@@ -32,6 +32,19 @@ def dense8():
 
 def random_sinogram(rng, geom=GEOM8):
     return gl.Sinogram(rng.standard_normal((geom.num_angles, geom.num_detectors)))
+
+
+def count_applies(monkeypatch, A):
+    """Record every ``A.apply`` call on this instance; ``adjoint`` is left alone."""
+    calls = []
+    apply = A.apply
+
+    def counting(u):
+        calls.append(u)
+        return apply(u)
+
+    monkeypatch.setattr(A, "apply", counting)
+    return calls
 
 
 class TestAdjointInit:
@@ -119,6 +132,28 @@ class TestTikhonov:
                               gl.ReconstructorSpec(kind="tikhonov"))
         assert np.array_equal(out.values, np.zeros((8, 8)))
 
+    def test_scaled_identity_is_solved_by_one_iteration(self, monkeypatch):
+        # the symbol of (c I)* (c I) is exactly c^2, so P^-1 is the inverse of
+        # the normal operator: one probe apply plus one PCG iteration
+        c, lam = 3.0, 2.0
+        A = gl.ScaledIdentity(c, 8)
+        v = gl.ImageGrid(np.random.Generator(np.random.Philox(78)).random((8, 8)))
+        calls = count_applies(monkeypatch, A)
+        out = gl.psi_tikhonov(A, v, gl.ReconstructorSpec(kind="tikhonov", tikhonov_weight=lam))
+        assert len(calls) == 2
+        exact = c * v.values / (c * c + lam)
+        assert np.linalg.norm(out.values - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_operator_applications_at_most_half_of_plain_cg(self, monkeypatch):
+        # CT 96^2 x 90, lambda = 50, white-noise data: plain CG from zero took
+        # 60 applies of A to reach cg_tol; preconditioned CG takes 23 (one
+        # probe plus 22 iterations).  A count, so it does not depend on timing.
+        A = gl.RadonTransform(gl.RadonGeometry(96, 90))
+        v = random_sinogram(np.random.Generator(np.random.Philox(79)), A.geometry)
+        calls = count_applies(monkeypatch, A)
+        gl.psi_tikhonov(A, v, gl.ReconstructorSpec(kind="tikhonov", tikhonov_weight=50.0))
+        assert len(calls) <= 60 // 2
+
     def test_non_convergence_raises(self):
         rng = np.random.Generator(np.random.Philox(68))
         A = gl.RadonTransform(GEOM8)
@@ -127,6 +162,30 @@ class TestTikhonov:
         with pytest.raises(gl.ConvergenceError) as err:
             gl.psi_tikhonov(A, random_sinogram(rng), spec)
         assert err.value.residual > 0
+
+
+class TestNormalPreconditioner:
+    """P^-1 from the circulant symbol of A* A is symmetric positive definite."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gl.RadonTransform(gl.RadonGeometry(16, 12)),
+        lambda: gl.GaussianBlur(gl.BlurKernel(rho=1.5), 16),
+        lambda: gl.ScaledIdentity(2.5, 16),
+    ], ids=["radon16", "blur16", "identity16"])
+    @pytest.mark.parametrize("lam", [1e-3, 50.0])
+    def test_symmetric_positive_definite(self, make, lam):
+        precondition = _normal_preconditioner(make(), lam)
+        rng = np.random.Generator(np.random.Philox(80))
+        for _ in range(10):
+            x = gl.ImageGrid(rng.standard_normal((16, 16)))
+            y = gl.ImageGrid(rng.standard_normal((16, 16)))
+            px, py = precondition(x), precondition(y)
+            assert abs(gl.dot(px, y) - gl.dot(x, py)) <= 1e-12 * gl.norm(px) * gl.norm(y)
+            assert gl.dot(px, x) > 0
+        # random images rarely load the weakest mode, so check every eigenvalue
+        dense = np.stack([precondition(gl.ImageGrid(e.reshape(16, 16))).values.ravel()
+                          for e in np.eye(256)], axis=1)
+        assert np.linalg.eigvalsh(dense).min() > 0
 
 
 class TestTvProx:
@@ -179,8 +238,17 @@ class TestTvInit:
 
 
 class TestDispatchAndSpec:
-    @pytest.mark.parametrize("kwargs", [dict(kind="nett"), dict(kind="adjoint", tikhonov_weight=0.0),
-                                        dict(kind="tv", tv_weight=-1.0)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="nett"), dict(kind="adjoint", tikhonov_weight=0.0), dict(kind="tv", tv_weight=-1.0),
+        dict(kind="tikhonov", tikhonov_weight=math.inf),
+        dict(kind="tikhonov", cg_tol=math.nan), dict(kind="tikhonov", cg_tol=-1.0),
+        dict(kind="tikhonov", cg_tol=0.0), dict(kind="tikhonov", cg_tol=math.inf),
+        dict(kind="tv", tv_step=-1.0), dict(kind="tv", tv_step=math.nan),
+        dict(kind="tv", tv_tol=0.0), dict(kind="tv", tv_tol=math.inf),
+        dict(kind="tikhonov", cg_max_iter=0), dict(kind="tikhonov", cg_max_iter=-1),
+        dict(kind="tv", tv_max_iter=0), dict(kind="tv", tv_max_iter=-5),
+        dict(kind="tikhonov", cg_max_iter=2.5),
+    ])
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(gl.ConfigurationError):
             gl.ReconstructorSpec(**kwargs)
