@@ -38,7 +38,6 @@ from .phantoms import NoiseSpec, add_noise, shepp_logan
 from .recon import (
     ReconstructorSpec,
     initial_reconstruction,
-    psi_adjoint,
     psi_fbp,
     psi_tikhonov,
     psi_tv,

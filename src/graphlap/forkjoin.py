@@ -1,13 +1,13 @@
 """One worker thread per solve, and the one fork-join that hands it work.
 
-``solve`` opens ``second_core()`` for the whole solve when its operator
-releases the GIL.  Inside it, ``fork_join(here, there)`` runs ``there`` on the
-worker and ``here`` on the calling thread, waits for both and returns both
-results.  While a fork is out the worker is taken, so a fork made inside
-either branch runs its two branches one after the other on its own thread:
-the solver's loop forks the graph term, and the A and A* halves forked inside
-that loop stay on the calling thread.  Outside ``second_core()`` every fork
-runs serially, ``here`` first.
+Every ``solve`` opens ``second_core()`` for its whole run.  Inside it,
+``fork_join(here, there)`` runs ``there`` on the worker and ``here`` on the
+calling thread, waits for both and returns both results.  While a fork is
+out the worker is taken, so a fork made inside either branch runs its two
+branches one after the other on its own thread: the solver's loop forks the
+graph term, and the A and A* halves forked inside that loop stay on the
+calling thread.  Outside ``second_core()`` every fork runs serially, ``here``
+first.
 
 ``there`` runs in a copy of the caller's context, so ``np.errstate`` applies
 to it too.  The fork joins before it returns or raises: an exception from

@@ -49,8 +49,8 @@ class GraphConfig:
     metric: str = "chebyshev"
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise ConfigurationError(f"radius must be positive, got {self.radius}")
+        if not (0 < self.radius < math.inf):
+            raise ConfigurationError(f"radius must be positive and finite, got {self.radius}")
         if not (self.sigma > 0):
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
         if self.metric not in METRICS:
@@ -73,15 +73,15 @@ def _shifts(config: GraphConfig, height: int, width: int):
 
     The half-set holds the offsets within distance floor(R) with di > 0, or
     di == 0 and dj > 0, so it meets each unordered pixel pair once.  Offsets
-    that fit no pair on this grid (di >= height or |dj| >= width) are skipped,
-    which makes the flat shift s = di * width + dj at least 1.  On grids
-    narrower than 2R two offsets can share one shift, which is why every band
-    keeps its own dj.
+    that fit no pair on this grid (di >= height or |dj| >= width) lie outside
+    the loops, so a radius far beyond the grid costs nothing, and the flat
+    shift s = di * width + dj is at least 1.  On grids narrower than 2R two
+    offsets can share one shift, which is why every band keeps its own dj.
     """
     r = math.floor(config.radius)
     for di in range(min(r, height - 1) + 1):
-        for dj in range(-r, r + 1):
-            if (di == 0 and dj <= 0) or abs(dj) >= width:
+        for dj in range(-min(r, width - 1), min(r, width - 1) + 1):
+            if di == 0 and dj <= 0:
                 continue
             dist = di + abs(dj) if config.metric == "manhattan" else max(di, abs(dj))
             if dist <= r:

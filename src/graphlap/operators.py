@@ -2,7 +2,7 @@
 
 Every operator is linear with an adjoint that is the exact transpose of the
 forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
-rounding error.  The Radon transform is assembled once per geometry as a
+rounding error.  The Radon transform is assembled once per operator as a
 sparse matrix held in two pixel-column blocks; its adjoint runs the blocks'
 transposes (CSC views of the same arrays), and both give the bytes of the
 one-matrix products.  The blur is a separable zero-padded convolution with
@@ -27,19 +27,17 @@ from .grid import ImageGrid, Sinogram, axpy, dot, norm
 class LinearOperator:
     """Matrix-free linear map with fixed domain and range shapes.
 
-    ``releases_gil`` says that apply and adjoint spend their time in code
-    that releases the GIL (scipy's sparse matvecs, numpy ufuncs), so a solve
-    on the operator opens one worker thread (``forkjoin.second_core``): the
-    Radon transform hands half of each A and A* to it outside the loop, and
-    the loop evaluates the graph term on it beside A and A*.  An operator
-    that holds the GIL, like the blur's ndimage filters, would only trade it
-    back and forth with that thread, so it stays False there and its solves
-    run on one thread.
+    A solve reaches the forward model only through ``apply``, ``adjoint`` and
+    ``norm_estimate``.  Every solve runs in one worker thread's scope
+    (``forkjoin.second_core``): the loop evaluates the graph term on the
+    worker beside A and A*, and an operator may hand half of its own work to
+    the worker outside the loop through ``forkjoin.fork_join``, as the Radon
+    transform does.  Scipy's sparse matvecs, ndimage's filters and numpy's
+    ufuncs all release the GIL, so both threads make progress.
     """
 
     domain_shape: tuple[int, int]
     range_shape: tuple[int, int]
-    releases_gil = False
 
     def apply(self, u):
         raise NotImplementedError
@@ -94,9 +92,8 @@ class RadonGeometry:
         return np.arange(d) - (d - 1) / 2.0
 
 
-@functools.lru_cache(maxsize=4)  # geometries whose matrices are kept
 def _radon_matrix(geometry: RadonGeometry):
-    """Forward projection matrix as two CSR pixel-column blocks, cached per geometry.
+    """Forward projection matrix as two CSR pixel-column blocks.
 
     Each ray (row) belongs to exactly one angle, so the matrix is assembled
     one angle's block of rows at a time and the blocks are stacked: only one
@@ -169,8 +166,6 @@ class RadonTransform(LinearOperator):
     the same order as the one-matrix product ``M @ x`` or ``M.T @ s``, and
     the results are the same bytes.
     """
-
-    releases_gil = True
 
     def __init__(self, geometry: RadonGeometry):
         self.geometry = geometry
@@ -277,8 +272,6 @@ class GaussianBlur(LinearOperator):
 
 class ScaledIdentity(LinearOperator):
     """c times the identity; handy for tests and degenerate configurations."""
-
-    releases_gil = True
 
     def __init__(self, scale: float, size: int):
         self.scale = float(scale)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .grid import ImageGrid, Sinogram, axpy, dot, norm
-from .operators import LinearOperator, RadonGeometry, RadonTransform
+from .operators import LinearOperator, RadonTransform
 
 PSI_KINDS = ("adjoint", "fbp", "tikhonov", "tv")
 
@@ -49,11 +49,6 @@ class ReconstructorSpec:
                 raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
-def psi_adjoint(A: LinearOperator, v) -> ImageGrid:
-    """u0 = A* v."""
-    return A.adjoint(v)
-
-
 def _ramp_hann_filter(nfft: int) -> np.ndarray:
     freqs = np.fft.rfftfreq(nfft)
     f_max = 0.5  # Nyquist for unit detector spacing
@@ -69,18 +64,17 @@ def filter_sinogram(s: Sinogram) -> Sinogram:
     return Sinogram(filtered[:, :d])
 
 
-def psi_fbp(geometry: RadonGeometry, v: Sinogram) -> ImageGrid:
+def psi_fbp(A: RadonTransform, v: Sinogram) -> ImageGrid:
     """Filtered back-projection: filter rows, back-project, scale by pi / m.
 
-    The scale matches the continuous inversion formula for angles covering the
-    full circle (each line is seen twice) with a frequency axis in cycles per
-    detector spacing.
+    The angles sample the half turn [0, pi) uniformly, so pi / m is the
+    angle step d(theta) of the inversion formula's integral over [0, pi),
+    with the frequency axis in cycles per detector spacing.
     """
-    transform = RadonTransform(geometry)
-    if v.shape != transform.range_shape:
-        raise ConfigurationError(f"sinogram shape {v.shape} does not match geometry {transform.range_shape}")
-    back = transform.adjoint(filter_sinogram(v))
-    return ImageGrid((math.pi / geometry.num_angles) * back.values)
+    if v.shape != A.range_shape:
+        raise ConfigurationError(f"sinogram shape {v.shape} does not match geometry {A.range_shape}")
+    back = A.adjoint(filter_sinogram(v))
+    return ImageGrid((math.pi / A.geometry.num_angles) * back.values)
 
 
 def _normal_preconditioner(A: LinearOperator, lam: float):
@@ -197,20 +191,19 @@ def tv_energy(u: ImageGrid) -> float:
     return float(np.sum(np.sqrt(gx * gx + gy * gy)))
 
 
-def psi_tv(geometry: RadonGeometry, v: Sinogram, spec: ReconstructorSpec) -> ImageGrid:
+def psi_tv(A: RadonTransform, v: Sinogram, spec: ReconstructorSpec) -> ImageGrid:
     """TV denoising of the FBP image."""
-    return tv_prox(psi_fbp(geometry, v), spec.tv_weight, spec.tv_step, spec.tv_tol, spec.tv_max_iter)
+    return tv_prox(psi_fbp(A, v), spec.tv_weight, spec.tv_step, spec.tv_tol, spec.tv_max_iter)
 
 
 def initial_reconstruction(A: LinearOperator, v, spec: ReconstructorSpec) -> ImageGrid:
-    """Dispatch on ``spec.kind``; fbp/tv need a Radon forward operator."""
+    """Dispatch on ``spec.kind``; adjoint is A* v, fbp/tv need a Radon operator."""
     if spec.kind == "adjoint":
-        return psi_adjoint(A, v)
+        return A.adjoint(v)
     if spec.kind == "tikhonov":
         return psi_tikhonov(A, v, spec)
-    geometry = getattr(A, "geometry", None)
-    if not isinstance(geometry, RadonGeometry):
+    if not isinstance(A, RadonTransform):
         raise ConfigurationError(f"psi kind {spec.kind!r} needs a Radon operator, got {type(A).__name__}")
     if spec.kind == "fbp":
-        return psi_fbp(geometry, v)
-    return psi_tv(geometry, v, spec)
+        return psi_fbp(A, v)
+    return psi_tv(A, v, spec)

@@ -9,17 +9,16 @@ where Delta_{u_k} is the graph Laplacian rebuilt from the current iterate
 On a rebuild step Delta_{u_k} u_k comes from one pass over the weight bands,
 which are stored only when the graph will be reused (period > 1); the old
 graph is released before the new one is evaluated.
-When A and A* release the GIL (``A.releases_gil``: the Radon transform's
-sparse matvecs do, the blur's ndimage filters do not) the solve opens one
-worker thread for its whole run (``forkjoin.second_core``).  The initializer
-and the norm estimate hand half of each A and A* to it.  In the loop the two
-terms depend only on u_k, so one ``fork_join`` evaluates Delta_{u_k} u_k on
-the worker while the calling thread computes r_k and A* r_k, whose halves
-then stay on the calling thread; the two meet before the step sizes.  The
-worker is joined before the solve returns or raises, and it runs in a copy of
-the caller's context, so ``np.errstate`` applies to it too.  Every value comes
-from the same calls as a serial evaluation, so the trace is byte-identical to
-one.
+Every solve opens one worker thread for its whole run
+(``forkjoin.second_core``).  Outside the loop an operator may hand half of
+each A and A* to it (the Radon transform does, in the initializer and the
+norm estimate).  In the loop the two terms depend only on u_k, so one
+``fork_join`` evaluates Delta_{u_k} u_k on the worker while the calling
+thread computes r_k and A* r_k, whose halves then stay on the calling
+thread; the two meet before the step sizes.  The worker is joined before
+the solve returns or raises, and it runs in a copy of the caller's context,
+so ``np.errstate`` applies to it too.  Every value comes from the same calls
+as a serial evaluation, so the trace is byte-identical to one.
 Both step sizes adapt to the residual r_k = A u_k - v:
 
     alpha_k = min(eta0 ||r||^2 / ||A* r||^2, eta1)
@@ -40,10 +39,10 @@ about.  A norm estimate that did not converge logs a WARNING.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError, DivergenceError, NonFiniteError
@@ -75,6 +74,10 @@ class SolverParams:
     graph: GraphConfig = field(default_factory=GraphConfig)
 
     def __post_init__(self):
+        for name in ("eta0", "eta1", "nu0", "nu1", "nu2", "tau") + (("wp",) if self.wp is not None else ()):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if not (self.eta0 > 0 and self.eta1 > 0):
             raise ConfigurationError("eta0 and eta1 must be positive")
         if self.nu0 < 0 or self.nu1 < 0:
@@ -85,10 +88,10 @@ class SolverParams:
             raise ConfigurationError(f"tau must exceed 1, got {self.tau}")
         if self.wp is not None and self.wp < 0:
             raise ConfigurationError("wp must be >= 0")
-        if self.max_iter < 0:
-            raise ConfigurationError("max_iter must be >= 0")
-        if self.graph_update_period < 1:
-            raise ConfigurationError("graph_update_period must be >= 1")
+        for name, low in (("max_iter", 0), ("graph_update_period", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ConfigurationError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -170,9 +173,7 @@ def solve(
     if v_data.shape != A.range_shape:
         raise ConfigurationError(f"data shape {v_data.shape} does not match operator range {A.range_shape}")
 
-    # one worker only where A and A* release the GIL; with the blur it would
-    # just trade the GIL back and forth with the main thread
-    with second_core() if A.releases_gil else contextlib.nullcontext():
+    with second_core():
         u = initial_reconstruction(A, v_data, psi)
         norm_est = A.norm_estimate
         eta = eta_floor(params, norm_est.value)

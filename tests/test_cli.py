@@ -265,7 +265,9 @@ class TestExitCodes:
     def test_config_errors_exit_two(self, tmp_path):
         out = tmp_path / "out"
         for argv in (["--problem", "deblur", "--psi", "fbp"], ["--problem", "ct", "--tau", "1.0"],
-                     ["--problem", "ct", "--tau", "0.5"], ["--problem", "deblur", "--rho", "0"]):
+                     ["--problem", "ct", "--tau", "0.5"], ["--problem", "deblur", "--rho", "0"],
+                     ["--problem", "ct", "--size", "16", "--nu0", "nan"],
+                     ["--problem", "ct", "--size", "16", "--radius", "inf"]):
             assert cli.main([*argv, "--out", str(out)]) == 2
             assert not out.exists(), argv
         assert cli.main([]) == 2

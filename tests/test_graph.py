@@ -45,7 +45,8 @@ def brute_force_laplacian(image: gl.ImageGrid, cfg: gl.GraphConfig) -> np.ndarra
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [dict(radius=0.0), dict(radius=-1.0),
                                         dict(sigma=0.0), dict(sigma=-0.1),
-                                        dict(metric="euclidean")])
+                                        dict(metric="euclidean"),
+                                        dict(radius=math.inf), dict(radius=math.nan)])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(gl.ConfigurationError):
             gl.GraphConfig(**kwargs)
@@ -61,6 +62,17 @@ class TestConfig:
         b = gl.build_laplacian(DEMO, gl.GraphConfig(radius=1.9, sigma=0.01, metric="manhattan"))
         assert np.array_equal(a.weights.indices, b.weights.indices)
         assert np.array_equal(a.weights.data, b.weights.data)
+
+    @pytest.mark.parametrize("metric,diameter", [("chebyshev", 15), ("manhattan", 30)])
+    def test_radius_beyond_the_grid_equals_the_grid_diameter(self, metric, diameter):
+        # every pair of a 16x16 image is within the grid's diameter, so a
+        # radius of 1e9 meets the same pairs; the offset loops stop at the
+        # grid's edge, so it also finishes as quickly
+        image = gl.ImageGrid(np.random.Generator(np.random.Philox(41)).random((16, 16)))
+        near = gl.build_laplacian(image, gl.GraphConfig(radius=diameter, metric=metric)).weights
+        far = gl.build_laplacian(image, gl.GraphConfig(radius=1e9, metric=metric)).weights
+        for part in ("indptr", "indices", "data"):
+            assert getattr(far, part).tobytes() == getattr(near, part).tobytes(), part
 
 
 class TestBuild:

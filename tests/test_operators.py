@@ -169,7 +169,7 @@ class TestRadonTransform:
     @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
     def test_angle_blocks_equal_global_assembly_bytes(self, size, angles):
         geom = gl.RadonGeometry(size, angles)
-        left, right = _radon_matrix.__wrapped__(geom)
+        left, right = _radon_matrix(geom)
         want = global_coo_radon(geom)
         cut = size * size // 2
         assert left.shape == (want.shape[0], cut) and right.shape == (want.shape[0], size * size - cut)
@@ -251,24 +251,13 @@ class TestRadonTransform:
         geom = gl.RadonGeometry(64, 30)
         tracemalloc.start()
         try:
-            blocks = _radon_matrix.__wrapped__(geom)
+            blocks = _radon_matrix(geom)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
         assert peak <= 4.0 * size, f"peak {peak / size:.2f}x the matrix bytes"
         assert retained <= 1.1 * size, f"retained {retained / size:.2f}x the matrix bytes"
-
-    def test_matrices_cached_per_geometry(self):
-        geom = gl.RadonGeometry(8, 5)
-        a = gl.RadonTransform(geom)
-        b = gl.RadonTransform(gl.RadonGeometry(8, 5))
-        assert a._left is b._left and a._right is b._right
-        assert _radon_matrix.cache_info().currsize >= 1
-        # bounded: a sweep over many geometries keeps only the latest few
-        for n in range(2, 2 + 2 * _radon_matrix.cache_info().maxsize):
-            gl.RadonTransform(gl.RadonGeometry(8, n))
-        assert _radon_matrix.cache_info().currsize == _radon_matrix.cache_info().maxsize
 
     def test_shape_validation(self):
         A = gl.RadonTransform(gl.RadonGeometry(8, 5))
