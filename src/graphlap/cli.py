@@ -124,15 +124,13 @@ def parse_config(argv) -> ExperimentConfig:
     config = ExperimentConfig(**settings)
     if config.problem == "deblur" and config.psi in ("fbp", "tv"):
         raise ConfigurationError(f"psi {config.psi!r} needs projection data; use adjoint or tikhonov for deblur")
-    if config.size < 2:
-        raise ConfigurationError(f"size must be >= 2, got {config.size}")
     if config.problem != "laplacian_demo" and config.size < SSIM_WINDOW:
         raise ConfigurationError(f"size must be >= {SSIM_WINDOW} for {config.problem}, got {config.size}: "
                                  f"ssim needs a {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    if config.delta_rel < 0:
-        raise ConfigurationError(f"delta-rel must be >= 0, got {config.delta_rel}")
     # built here only for their checks, so that a bad value fails before any output is written
     _solver_params(config)
+    NoiseSpec(delta_rel=config.delta_rel, seed=config.seed)
+    ReconstructorSpec(kind=config.psi)
     if config.problem == "ct":
         RadonGeometry(image_size=config.size, num_angles=config.angles)
     elif config.problem == "deblur":
@@ -232,7 +230,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -51,8 +51,8 @@ class GraphConfig:
     def __post_init__(self):
         if not (0 < self.radius < math.inf):
             raise ConfigurationError(f"radius must be positive and finite, got {self.radius}")
-        if not (self.sigma > 0):
-            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.sigma < math.inf):
+            raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
         if self.metric not in METRICS:
             raise ConfigurationError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
@@ -194,20 +194,14 @@ class SparseLaplacian:
     def weights(self) -> sparse.csr_matrix:
         """W as a CSR matrix: every within-radius pair in both directions,
         zero weights included, columns sorted within each row."""
-        row_parts, col_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        val_parts = [np.empty(0, dtype=np.float64)]
+        rows, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
         for (dj, s), w in zip(_shifts(self.config, self.height, self.width), self.bands):
             p = _valid(self.height, self.width, dj, s)
-            row_parts += [p, p + s]
-            col_parts += [p + s, p]
-            val_parts += [w[p], w[p]]
-        rows, cols, vals = np.concatenate(row_parts), np.concatenate(col_parts), np.concatenate(val_parts)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        n = self.n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return sparse.csr_matrix((vals, cols, indptr), shape=(n, n))
+            rows += [p, p + s]
+            cols += [p + s, p]
+            vals += [w[p], w[p]]
+        return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                                 shape=(self.n, self.n)).tocsr()
 
     @cached_property
     def degrees(self) -> np.ndarray:

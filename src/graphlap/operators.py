@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class LinearOperator:
     def norm_estimate(self) -> NormEstimate:
         """||A||, estimated once per operator by power iteration; the fixed
         seed makes identical runs estimate identical norms."""
-        return estimate_operator_norm(self, iterations=100, tol=1e-8, seed=0)
+        return estimate_operator_norm(self)
 
     def _check_domain(self, u):
         if not isinstance(u, ImageGrid) or u.shape != self.domain_shape:
@@ -72,10 +73,10 @@ class RadonGeometry:
     num_angles: int
 
     def __post_init__(self):
-        if self.image_size < 2:
-            raise ConfigurationError(f"image_size must be >= 2, got {self.image_size}")
-        if self.num_angles < 1:
-            raise ConfigurationError(f"num_angles must be >= 1, got {self.num_angles}")
+        for name, low in (("image_size", 2), ("num_angles", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ConfigurationError(f"{name} must be >= {low} and an integer, got {value!r}")
 
     @property
     def num_detectors(self) -> int:
@@ -217,8 +218,8 @@ class BlurKernel:
     rho: float
 
     def __post_init__(self):
-        if not (self.rho > 0):
-            raise ConfigurationError(f"rho must be positive, got {self.rho}")
+        if not (0 < self.rho < math.inf):
+            raise ConfigurationError(f"rho must be positive and finite, got {self.rho}")
 
     @property
     def radius(self) -> int:
@@ -239,8 +240,8 @@ class GaussianBlur(LinearOperator):
     """
 
     def __init__(self, kernel: BlurKernel, size: int):
-        if size < 1:
-            raise ConfigurationError(f"size must be >= 1, got {size}")
+        if not (isinstance(size, numbers.Integral) and size >= 1):
+            raise ConfigurationError(f"size must be >= 1 and an integer, got {size!r}")
         self.kernel = kernel
         self.domain_shape = (size, size)
         self.range_shape = (size, size)
@@ -295,12 +296,13 @@ class NormEstimate:
     iterations: int
 
 
-def estimate_operator_norm(A: LinearOperator, iterations: int = 100, tol: float = 1e-8, seed: int = 0) -> NormEstimate:
-    """Estimate ||A|| by power iteration on A* A from a seeded random start.
+def estimate_operator_norm(A: LinearOperator) -> NormEstimate:
+    """Estimate ||A|| by at most 100 steps of power iteration on A* A from a
+    random start drawn with seed 0.
 
     Each step takes a unit vector x to z = A* A x and returns sqrt(||z||).  It
-    stops once x is an eigenvector to within ``tol``: the Rayleigh residual
-    ||z - lam2 x|| is at most tol * lam2, with lam2 = <x, z>.  The change of
+    stops once x is an eigenvector to within 1e-8: the Rayleigh residual
+    ||z - lam2 x|| is at most 1e-8 lam2, with lam2 = <x, z>.  The change of
     the estimate is no such test: near-degenerate top singular values barely
     move it while x is still far from the top singular vector.  Power
     iteration approaches the top singular value from below, so callers that
@@ -308,16 +310,16 @@ def estimate_operator_norm(A: LinearOperator, iterations: int = 100, tol: float 
     residual test never passes the last estimate is returned with
     ``converged=False``.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(0))
     x = ImageGrid(rng.random(A.domain_shape) + 0.5)
     x = ImageGrid(x.values / norm(x))
-    for it in range(1, max(1, iterations) + 1):
+    for it in range(1, 101):
         z = A.adjoint(A.apply(x))
         growth = norm(z)
         if growth == 0.0:
             return NormEstimate(value=0.0, converged=True, iterations=it)
         lam2 = dot(x, z)
-        if norm(axpy(-lam2, x, z)) <= tol * lam2:
+        if norm(axpy(-lam2, x, z)) <= 1e-8 * lam2:
             return NormEstimate(value=math.sqrt(growth), converged=True, iterations=it)
         x = ImageGrid(z.values / growth)
-    return NormEstimate(value=math.sqrt(growth), converged=False, iterations=max(1, iterations))
+    return NormEstimate(value=math.sqrt(growth), converged=False, iterations=it)

@@ -15,6 +15,8 @@ along one fixed direction with shrinking magnitude.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +85,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta_rel < 0:
-            raise ConfigurationError(f"delta_rel must be >= 0, got {self.delta_rel}")
+        if not (0 <= self.delta_rel < math.inf):
+            raise ConfigurationError(f"delta_rel must be >= 0 and finite, got {self.delta_rel}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be >= 0 and an integer, got {self.seed!r}")
 
 
 def standard_normal_field(shape, seed: int) -> np.ndarray:

@@ -11,7 +11,6 @@ nonexpansive, so all four are Lipschitz as maps of the data.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,31 +21,24 @@ from .operators import LinearOperator, RadonTransform
 
 PSI_KINDS = ("adjoint", "fbp", "tikhonov", "tv")
 
+# the conjugate-gradient stop of the Tikhonov start and the TV weight of the TV start
+CG_TOL = 1e-8
+CG_MAX_ITER = 500
+TV_WEIGHT = 0.1
+
 
 @dataclass(frozen=True)
 class ReconstructorSpec:
-    """Which initial reconstruction to use, with its tuning knobs."""
+    """Which initial reconstruction to use, and the Tikhonov weight lambda."""
 
     kind: str = "adjoint"
     tikhonov_weight: float = 50.0
-    cg_tol: float = 1e-8
-    cg_max_iter: int = 500
-    tv_weight: float = 0.1
-    tv_step: float = 0.25
-    tv_tol: float = 1e-5
-    tv_max_iter: int = 200
 
     def __post_init__(self):
         if self.kind not in PSI_KINDS:
             raise ConfigurationError(f"kind must be one of {PSI_KINDS}, got {self.kind!r}")
-        for name in ("tikhonov_weight", "cg_tol", "tv_weight", "tv_step", "tv_tol"):
-            value = getattr(self, name)
-            if not (0 < value < math.inf):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("cg_max_iter", "tv_max_iter"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not (0 < self.tikhonov_weight < math.inf):
+            raise ConfigurationError(f"tikhonov_weight must be positive and finite, got {self.tikhonov_weight!r}")
 
 
 def _ramp_hann_filter(nfft: int) -> np.ndarray:
@@ -110,7 +102,7 @@ def psi_tikhonov(A: LinearOperator, v, spec: ReconstructorSpec) -> ImageGrid:
     from zero, with the circulant preconditioner of _normal_preconditioner.
 
     Stops when the residual of the normal equations has dropped below
-    ``cg_tol`` relative to the right-hand side.
+    ``CG_TOL`` relative to the right-hand side.
     """
     lam = spec.tikhonov_weight
     b = A.adjoint(v)
@@ -123,19 +115,19 @@ def psi_tikhonov(A: LinearOperator, v, spec: ReconstructorSpec) -> ImageGrid:
     z = precondition(r)
     p = z
     rz = dot(r, z)
-    for _ in range(spec.cg_max_iter):
+    for _ in range(CG_MAX_ITER):
         ap = axpy(lam, p, A.adjoint(A.apply(p)))
         step = rz / dot(p, ap)
         x = axpy(step, p, x)
         r = axpy(-step, ap, r)
-        if norm(r) <= spec.cg_tol * b_norm:
+        if norm(r) <= CG_TOL * b_norm:
             return x
         z = precondition(r)
         rz_next = dot(r, z)
         p = axpy(rz_next / rz, p, z)
         rz = rz_next
     raise ConvergenceError(
-        f"conjugate gradients did not reach tol {spec.cg_tol} in {spec.cg_max_iter} iterations",
+        f"conjugate gradients did not reach tol {CG_TOL} in {CG_MAX_ITER} iterations",
         residual=norm(r) / b_norm,
     )
 
@@ -162,17 +154,19 @@ def _divergence(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return div
 
 
-def tv_prox(b: ImageGrid, weight: float, step: float = 0.25, tol: float = 1e-5, max_iter: int = 200) -> ImageGrid:
+def tv_prox(b: ImageGrid, weight: float) -> ImageGrid:
     """Chambolle's dual projection for the ROF problem.
 
     Iterates p <- (p + step * grad(div p - b / weight)) / (1 + step * |...|)
-    and returns b - weight * div p, an approximation of the proximal mapping
-    of weight * TV at b.  The exact mapping is nonexpansive in b.
+    with step 1/4 until no entry of p moves by 1e-5 or more, at most 200
+    times, and returns b - weight * div p, an approximation of the proximal
+    mapping of weight * TV at b.  The exact mapping is nonexpansive in b.
     """
+    step = 0.25
     bf = b.values
     px = np.zeros_like(bf)
     py = np.zeros_like(bf)
-    for _ in range(max_iter):
+    for _ in range(200):
         g = _divergence(px, py) - bf / weight
         gx, gy = _forward_gradient(g)
         denom = 1.0 + step * np.sqrt(gx * gx + gy * gy)
@@ -180,7 +174,7 @@ def tv_prox(b: ImageGrid, weight: float, step: float = 0.25, tol: float = 1e-5, 
         py_next = (py + step * gy) / denom
         change = max(np.abs(px_next - px).max(), np.abs(py_next - py).max())
         px, py = px_next, py_next
-        if change < tol:
+        if change < 1e-5:
             break
     return ImageGrid(bf - weight * _divergence(px, py))
 
@@ -191,9 +185,9 @@ def tv_energy(u: ImageGrid) -> float:
     return float(np.sum(np.sqrt(gx * gx + gy * gy)))
 
 
-def psi_tv(A: RadonTransform, v: Sinogram, spec: ReconstructorSpec) -> ImageGrid:
+def psi_tv(A: RadonTransform, v: Sinogram) -> ImageGrid:
     """TV denoising of the FBP image."""
-    return tv_prox(psi_fbp(A, v), spec.tv_weight, spec.tv_step, spec.tv_tol, spec.tv_max_iter)
+    return tv_prox(psi_fbp(A, v), TV_WEIGHT)
 
 
 def initial_reconstruction(A: LinearOperator, v, spec: ReconstructorSpec) -> ImageGrid:
@@ -206,4 +200,4 @@ def initial_reconstruction(A: LinearOperator, v, spec: ReconstructorSpec) -> Ima
         raise ConfigurationError(f"psi kind {spec.kind!r} needs a Radon operator, got {type(A).__name__}")
     if spec.kind == "fbp":
         return psi_fbp(A, v)
-    return psi_tv(A, v, spec)
+    return psi_tv(A, v)

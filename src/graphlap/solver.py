@@ -9,16 +9,8 @@ where Delta_{u_k} is the graph Laplacian rebuilt from the current iterate
 On a rebuild step Delta_{u_k} u_k comes from one pass over the weight bands,
 which are stored only when the graph will be reused (period > 1); the old
 graph is released before the new one is evaluated.
-Every solve opens one worker thread for its whole run
-(``forkjoin.second_core``).  Outside the loop an operator may hand half of
-each A and A* to it (the Radon transform does, in the initializer and the
-norm estimate).  In the loop the two terms depend only on u_k, so one
-``fork_join`` evaluates Delta_{u_k} u_k on the worker while the calling
-thread computes r_k and A* r_k, whose halves then stay on the calling
-thread; the two meet before the step sizes.  The worker is joined before
-the solve returns or raises, and it runs in a copy of the caller's context,
-so ``np.errstate`` applies to it too.  Every value comes from the same calls
-as a serial evaluation, so the trace is byte-identical to one.
+The graph term runs on the solve's worker thread beside A u_k - v and
+A* r_k, with the same bytes as a serial evaluation (``graphlap.forkjoin``).
 Both step sizes adapt to the residual r_k = A u_k - v:
 
     alpha_k = min(eta0 ||r||^2 / ||A* r||^2, eta1)
@@ -188,12 +180,11 @@ def solve(
 
         threshold = params.tau * delta
         trace: list[IterateRecord] = []
-        laplacian = None
         reuse = params.graph_update_period > 1
         try:
             k = 0
             while True:
-                if k % params.graph_update_period == 0 or laplacian is None:
+                if k % params.graph_update_period == 0:
                     laplacian = build_laplacian(u, params.graph, reuse=reuse)
                 # a non-finite residual takes precedence over anything the graph
                 # term raises: the fork drops that and joins the worker

@@ -96,6 +96,8 @@ def test_arms_differ_only_in_the_graph_term(monkeypatch):
     pytest.param(["--problem", "ct", "--max-iter", "-1"], "max_iter must be >= 0", id="max-iter"),
     pytest.param(["--problem", "ct", "--angles", "0"], "num_angles must be >= 1", id="angles"),
     pytest.param(["--problem", "ct", "--sigma", "0"], "sigma must be positive", id="sigma"),
+    pytest.param(["--problem", "ct", "--levels", "nan"], "delta_rel must be >= 0 and finite", id="levels-nan"),
+    pytest.param(["--problem", "ct", "--seeds", "-1"], "seed must be >= 0", id="seeds-negative"),
 ])
 def test_bad_cell_exits_two_before_any_solve(tmp_path, argv, message):
     out = tmp_path / "out"

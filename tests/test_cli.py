@@ -144,11 +144,12 @@ class TestParseConfig:
     @pytest.mark.parametrize("problem", ["ct", "deblur"])
     @pytest.mark.parametrize("size", [2, 6])
     def test_size_below_ssim_window_rejected_before_solving(self, problem, size, tmp_path):
-        argv = ["--problem", problem, "--size", str(size), "--out", str(tmp_path)]
+        out = tmp_path / "out"
+        argv = ["--problem", problem, "--size", str(size), "--out", str(out)]
         with pytest.raises(ConfigurationError, match="7x7 window"):
             cli.parse_config(argv)
         assert cli.main(argv) == 2
-        assert not (tmp_path / "trace.csv").exists()
+        assert not out.exists()
         assert cli.parse_config(["--problem", problem, "--size", "7"]).size == 7
 
     def test_bad_choice_exits_via_argparse(self):
@@ -264,10 +265,18 @@ class TestDeblurRun:
 class TestExitCodes:
     def test_config_errors_exit_two(self, tmp_path):
         out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=ct\nsize=16\npsi=nett\n")
         for argv in (["--problem", "deblur", "--psi", "fbp"], ["--problem", "ct", "--tau", "1.0"],
                      ["--problem", "ct", "--tau", "0.5"], ["--problem", "deblur", "--rho", "0"],
                      ["--problem", "ct", "--size", "16", "--nu0", "nan"],
-                     ["--problem", "ct", "--size", "16", "--radius", "inf"]):
+                     ["--problem", "ct", "--size", "16", "--radius", "inf"],
+                     ["--problem", "ct", "--size", "16", "--delta-rel", "nan"],
+                     ["--problem", "ct", "--size", "16", "--delta-rel", "inf"],
+                     ["--problem", "ct", "--size", "16", "--seed", "-1"],
+                     ["--problem", "deblur", "--rho", "inf"],
+                     ["--problem", "ct", "--size", "16", "--sigma", "inf"],
+                     ["--config", str(cfg)]):
             assert cli.main([*argv, "--out", str(out)]) == 2
             assert not out.exists(), argv
         assert cli.main([]) == 2

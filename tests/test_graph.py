@@ -46,7 +46,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [dict(radius=0.0), dict(radius=-1.0),
                                         dict(sigma=0.0), dict(sigma=-0.1),
                                         dict(metric="euclidean"),
-                                        dict(radius=math.inf), dict(radius=math.nan)])
+                                        dict(radius=math.inf), dict(radius=math.nan),
+                                        dict(sigma=math.inf), dict(sigma=math.nan)])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(gl.ConfigurationError):
             gl.GraphConfig(**kwargs)

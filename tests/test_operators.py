@@ -110,7 +110,9 @@ class TestRadonGeometry:
         assert np.all(np.diff(offs) == 1.0)
 
     @pytest.mark.parametrize("kwargs", [dict(image_size=1, num_angles=4),
-                                        dict(image_size=8, num_angles=0)])
+                                        dict(image_size=8, num_angles=0),
+                                        dict(image_size=8, num_angles=2.5),
+                                        dict(image_size=8.5, num_angles=3)])
     def test_invalid_geometry_rejected(self, kwargs):
         with pytest.raises(gl.ConfigurationError):
             gl.RadonGeometry(**kwargs)
@@ -314,8 +316,9 @@ class TestBlur:
         assert np.array_equal(k.taps, k.taps[::-1])
 
     def test_invalid_rho_rejected(self):
-        with pytest.raises(gl.ConfigurationError):
-            gl.BlurKernel(rho=0.0)
+        for rho in (0.0, math.inf, math.nan):
+            with pytest.raises(gl.ConfigurationError):
+                gl.BlurKernel(rho=rho)
 
     def test_constant_image_preserved_in_interior(self):
         B = gl.GaussianBlur(gl.BlurKernel(rho=1.5), 32)
@@ -359,8 +362,9 @@ class TestBlur:
         assert gl.norm(gl.sub(lhs, rhs)) <= 1e-10 * max(gl.norm(rhs), 1e-30)
 
     def test_invalid_size_rejected(self):
-        with pytest.raises(gl.ConfigurationError):
-            gl.GaussianBlur(gl.BlurKernel(rho=1.0), 0)
+        for size in (0, 8.5):
+            with pytest.raises(gl.ConfigurationError):
+                gl.GaussianBlur(gl.BlurKernel(rho=1.0), size)
 
     @pytest.mark.parametrize("size", [1, 8, 16, 24])
     @pytest.mark.parametrize("rho", [0.5, 1.5, 4.0])

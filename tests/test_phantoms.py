@@ -1,5 +1,7 @@
 """Phantom rasterization and the exact-magnitude noise model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ class TestNoise:
     def test_negative_level_rejected(self):
         with pytest.raises(gl.ConfigurationError):
             gl.NoiseSpec(delta_rel=-0.01)
+
+    @pytest.mark.parametrize("kwargs", [dict(delta_rel=math.nan), dict(delta_rel=math.inf),
+                                        dict(delta_rel=0.05, seed=-1), dict(delta_rel=0.05, seed=1.5)],
+                             ids=["nan-level", "inf-level", "negative-seed", "fractional-seed"])
+    def test_non_finite_level_and_bad_seed_rejected(self, kwargs):
+        with pytest.raises(gl.ConfigurationError):
+            gl.NoiseSpec(**kwargs)
 
     def test_zero_level_returns_data_unchanged(self):
         clean = gl.Sinogram([[1.0, 2.0], [3.0, 4.0]])
