@@ -1,13 +1,17 @@
-"""One worker thread per solve, and the one fork-join that hands it work.
+"""One worker thread per solve or Radon assembly, and the one fork-join that
+hands it work.
 
-Every ``solve`` opens ``second_core()`` for its whole run.  Inside it,
+Every ``solve`` opens ``second_core()`` for its whole run, and so does every
+``RadonTransform`` for its matrix assembly.  Inside it,
 ``fork_join(here, there)`` runs ``there`` on the worker and ``here`` on the
 calling thread, waits for both and returns both results.  While a fork is
 out the worker is taken, so a fork made inside either branch runs its two
 branches one after the other on its own thread: the solver's loop forks the
 graph term, and the A and A* halves forked inside that loop stay on the
-calling thread.  Outside ``second_core()`` every fork runs serially, ``here``
-first.
+calling thread.  A ``second_core()`` block opened where a worker is already
+open uses that worker, and one opened inside a fork's branch opens none, so
+there is never more than one worker per caller.  Outside ``second_core()``
+every fork runs serially, ``here`` first.
 
 ``there`` runs in a copy of the caller's context, so ``np.errstate`` applies
 to it too.  The fork joins before it returns or raises: an exception from
@@ -21,13 +25,18 @@ import contextlib
 import contextvars
 from concurrent.futures import ThreadPoolExecutor, wait
 
-# the worker this context may fork to; None where there is none or it is taken
-_WORKER: contextvars.ContextVar[ThreadPoolExecutor | None] = contextvars.ContextVar("worker", default=None)
+# the worker a fork made in this context may use: None outside every
+# second_core() block, _TAKEN while a fork in this context holds it
+_TAKEN = object()
+_WORKER: contextvars.ContextVar[ThreadPoolExecutor | object | None] = contextvars.ContextVar("worker", default=None)
 
 
 @contextlib.contextmanager
 def second_core():
     """Open one worker thread for the block and join it on the way out."""
+    if _WORKER.get() is not None:
+        yield  # the open worker serves this block, or it is taken and forks run serially
+        return
     with ThreadPoolExecutor(max_workers=1) as pool:
         token = _WORKER.set(pool)
         try:
@@ -39,9 +48,9 @@ def second_core():
 def fork_join(here, there):
     """``(here(), there())``, with ``there`` on the worker when one is free."""
     pool = _WORKER.get()
-    if pool is None:
+    if pool is None or pool is _TAKEN:
         return here(), there()
-    token = _WORKER.set(None)  # taken: forks in either branch run serially
+    token = _WORKER.set(_TAKEN)  # forks in either branch run serially
     try:
         pending = pool.submit(contextvars.copy_context().run, there)
         try:

@@ -3,10 +3,13 @@
 Every operator is linear with an adjoint that is the exact transpose of the
 forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
 rounding error.  The Radon transform is assembled once per operator as a
-sparse matrix held in two pixel-column blocks; its adjoint runs the blocks'
-transposes (CSC views of the same arrays), and both give the bytes of the
-one-matrix products.  The blur is a separable zero-padded convolution with
-symmetric taps (hence self-adjoint).
+sparse matrix held in two pixel-column blocks, angle by angle, with the later
+angles on a worker thread: two angles' entries are alive at a time, one per
+thread, and the blocks hold the bytes of one serial assembly.  Its adjoint
+runs the blocks' transposes (CSC views of the same arrays), and both give the
+bytes of the one-matrix products.  The blur is a separable zero-padded
+convolution with symmetric taps (hence self-adjoint), built once per
+operator.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +25,7 @@ from scipy import ndimage, sparse
 from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, ShapeMismatch
-from .forkjoin import fork_join
+from .forkjoin import fork_join, second_core
 from .grid import ImageGrid, Sinogram, axpy, dot, norm
 
 
@@ -33,8 +37,9 @@ class LinearOperator:
     (``forkjoin.second_core``): the loop evaluates the graph term on the
     worker beside A and A*, and an operator may hand half of its own work to
     the worker outside the loop through ``forkjoin.fork_join``, as the Radon
-    transform does.  Scipy's sparse matvecs, ndimage's filters and numpy's
-    ufuncs all release the GIL, so both threads make progress.
+    transform does; it also opens a worker of its own to assemble its matrix.
+    Scipy's sparse kernels, ndimage's filters and numpy's ufuncs all release
+    the GIL, so both threads make progress.
     """
 
     domain_shape: tuple[int, int]
@@ -93,18 +98,16 @@ class RadonGeometry:
         return np.arange(d) - (d - 1) / 2.0
 
 
-def _radon_matrix(geometry: RadonGeometry):
-    """Forward projection matrix as two CSR pixel-column blocks.
+def _angle_block(geometry: RadonGeometry, t: int):
+    """The left and right pixel-column CSR blocks of the rays of angle ``t``.
 
     Each ray (row) belongs to exactly one angle, so the matrix is assembled
-    one angle's block of rows at a time and the blocks are stacked: only one
-    angle's (ray, pixel, weight) entries are alive at once.  ``tocsr`` orders
-    each row's entries and sums its duplicates from the same input sequence
-    as one global conversion would.  Each angle's block is then cut at pixel
-    ``n // 2``: the left block keeps the columns below the cut, the right
-    block the rest, renumbered from zero.  A row of the whole matrix is its
-    row of the left block followed by its row of the right block, so the two
-    blocks hold the same bytes as one global conversion, plus one ``indptr``.
+    one angle's block of rows at a time, and a call holds only its own
+    angle's (ray, pixel, weight) entries.  ``tocsr`` orders each row's
+    entries and sums its duplicates from the same input sequence as one
+    global conversion would.  The block is then cut at pixel ``n // 2``: the
+    left block keeps the columns below the cut, the right block the rest,
+    renumbered from zero.
     """
     size = geometry.image_size
     d = geometry.num_detectors
@@ -117,40 +120,73 @@ def _radon_matrix(geometry: RadonGeometry):
     # gather, concatenate and sort during assembly
     ray = np.broadcast_to(np.arange(d, dtype=np.int32)[:, None], (d, steps.size))
 
-    lefts, rights = [], []
-    for theta in geometry.angles:
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        # sample points of all (detector, step) pairs for this angle
-        px = center + offsets[:, None] * cos_t - steps[None, :] * sin_t
-        py = center + offsets[:, None] * sin_t + steps[None, :] * cos_t
-        x0 = np.floor(px).astype(np.int32)
-        y0 = np.floor(py).astype(np.int32)
-        fx = px - x0
-        fy = py - y0
-        rows_parts, cols_parts, vals_parts = [], [], []
-        for dx, wx in ((0, 1.0 - fx), (1, fx)):
-            for dy, wy in ((0, 1.0 - fy), (1, fy)):
-                xc = x0 + dx
-                yc = y0 + dy
-                w = wx * wy
-                ok = (xc >= 0) & (xc < size) & (yc >= 0) & (yc < size) & (w > 0)
-                rows_parts.append(ray[ok])
-                cols_parts.append((yc[ok] * size + xc[ok]))
-                vals_parts.append(w[ok])
-        block = sparse.coo_matrix(
-            (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-            shape=(d, size * size),
-        ).tocsr()
-        # a row's entries are sorted by column, so its left-block entries come
-        # first; the right-block entries before a row's start give that row's
-        # pointer in the right block
-        left = block.indices < cut
-        right = np.flatnonzero(~left)
-        right_ptr = np.searchsorted(right, block.indptr).astype(block.indptr.dtype)
-        lefts.append(sparse.csr_matrix((block.data[left], block.indices[left], block.indptr - right_ptr),
-                                       shape=(d, cut)))
-        rights.append(sparse.csr_matrix((block.data[right], block.indices[right] - cut, right_ptr),
-                                        shape=(d, size * size - cut)))
+    theta = geometry.angles[t]
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    # sample points of all (detector, step) pairs for this angle
+    px = center + offsets[:, None] * cos_t - steps[None, :] * sin_t
+    py = center + offsets[:, None] * sin_t + steps[None, :] * cos_t
+    x0 = np.floor(px).astype(np.int32)
+    y0 = np.floor(py).astype(np.int32)
+    fx = px - x0
+    fy = py - y0
+    rows_parts, cols_parts, vals_parts = [], [], []
+    for dx, wx in ((0, 1.0 - fx), (1, fx)):
+        for dy, wy in ((0, 1.0 - fy), (1, fy)):
+            xc = x0 + dx
+            yc = y0 + dy
+            w = wx * wy
+            ok = (xc >= 0) & (xc < size) & (yc >= 0) & (yc < size) & (w > 0)
+            rows_parts.append(ray[ok])
+            cols_parts.append((yc[ok] * size + xc[ok]))
+            vals_parts.append(w[ok])
+    block = sparse.coo_matrix(
+        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
+        shape=(d, size * size),
+    ).tocsr()
+    # a row's entries are sorted by column, so its left-block entries come
+    # first; the right-block entries before a row's start give that row's
+    # pointer in the right block
+    left = block.indices < cut
+    right = np.flatnonzero(~left)
+    right_ptr = np.searchsorted(right, block.indptr).astype(block.indptr.dtype)
+    return (sparse.csr_matrix((block.data[left], block.indices[left], block.indptr - right_ptr), shape=(d, cut)),
+            sparse.csr_matrix((block.data[right], block.indices[right] - cut, right_ptr),
+                              shape=(d, size * size - cut)))
+
+
+def _radon_matrix(geometry: RadonGeometry):
+    """Forward projection matrix as two CSR pixel-column blocks.
+
+    The calling thread assembles angles from the first one up and, through
+    ``fork_join``, the worker from the last one down, each claiming its next
+    angle (``_angle_block``) until the two meet.  So the caller assembles a
+    leading run of the angles and the worker the rest, about half each on
+    two free cores; where the worker is slow to start, or taken, the caller
+    assembles more of them, or all.  Two angles' entries are alive at a
+    time, one per thread.  The blocks are stacked in angle order, and a row
+    of the whole matrix is its row of the left block followed by its row of
+    the right block, so the two blocks hold the same bytes as one global
+    conversion, plus one ``indptr``, whichever thread assembled each angle.
+    """
+    lock = threading.Lock()
+    bounds = [0, geometry.num_angles]  # the angles no thread has claimed yet
+
+    def assemble(up: bool):
+        blocks = []
+        while True:
+            with lock:
+                if bounds[0] == bounds[1]:
+                    return blocks
+                if up:
+                    t = bounds[0]
+                    bounds[0] += 1
+                else:
+                    bounds[1] -= 1
+                    t = bounds[1]
+            blocks.append(_angle_block(geometry, t))
+
+    first, later = fork_join(lambda: assemble(True), lambda: assemble(False))
+    lefts, rights = zip(*(first + later[::-1]))
     # stacking CSR blocks concatenates their data and indices and offsets
     # their row pointers; nothing is re-sorted
     return sparse.vstack(lefts, format="csr"), sparse.vstack(rights, format="csr")
@@ -159,20 +195,24 @@ def _radon_matrix(geometry: RadonGeometry):
 class RadonTransform(LinearOperator):
     """Discrete Radon transform via bilinear interpolation along rays.
 
-    The matrix is held as two pixel-column blocks (``_radon_matrix``).  A runs
-    two halves of the rays and A* the two blocks' CSC views, one half into
-    each half of the pixels; ``fork_join`` hands the second half to the
-    solve's worker when one is free.  ``csr_matvec`` and ``csc_matvec`` add
-    into their output, so every ray and every pixel sums the same terms in
-    the same order as the one-matrix product ``M @ x`` or ``M.T @ s``, and
-    the results are the same bytes.
+    The matrix is held as two pixel-column blocks (``_radon_matrix``), built
+    inside ``second_core()``: its worker assembles the later angles, about
+    half of them, except where the worker is taken (in a fork's branch), where
+    the calling thread assembles them all.  A runs two halves of the rays and
+    A* the two blocks' CSC views, one half into each half of the pixels;
+    ``fork_join`` hands the second half to the solve's worker when one is
+    free.  ``csr_matvec`` and ``csc_matvec`` add into their output, so every
+    ray and every pixel sums the same terms in the same order as the
+    one-matrix product ``M @ x`` or ``M.T @ s``, and the results are the
+    same bytes.
     """
 
     def __init__(self, geometry: RadonGeometry):
         self.geometry = geometry
         self.domain_shape = (geometry.image_size, geometry.image_size)
         self.range_shape = (geometry.num_angles, geometry.num_detectors)
-        self._left, self._right = _radon_matrix(geometry)
+        with second_core():
+            self._left, self._right = _radon_matrix(geometry)
 
     def apply(self, u: ImageGrid) -> Sinogram:
         self._check_domain(u)
@@ -235,21 +275,21 @@ class BlurKernel:
 class GaussianBlur(LinearOperator):
     """Zero-padded separable Gaussian blur on a square image.
 
-    The taps are symmetric, so the operator matrix is symmetric and the
-    adjoint is the identical computation.
+    The taps are built once, with the operator, and are symmetric, so the
+    operator matrix is symmetric and the adjoint is the identical computation.
     """
 
     def __init__(self, kernel: BlurKernel, size: int):
         if not (isinstance(size, numbers.Integral) and size >= 1):
             raise ConfigurationError(f"size must be >= 1 and an integer, got {size!r}")
         self.kernel = kernel
+        self._taps = kernel.taps
         self.domain_shape = (size, size)
         self.range_shape = (size, size)
 
     def _correlate(self, values: np.ndarray) -> np.ndarray:
-        taps = self.kernel.taps
-        out = ndimage.correlate1d(values, taps, axis=0, mode="constant", cval=0.0)
-        return ndimage.correlate1d(out, taps, axis=1, mode="constant", cval=0.0)
+        out = ndimage.correlate1d(values, self._taps, axis=0, mode="constant", cval=0.0)
+        return ndimage.correlate1d(out, self._taps, axis=1, mode="constant", cval=0.0)
 
     def apply(self, u: ImageGrid) -> ImageGrid:
         self._check_domain(u)
@@ -266,7 +306,7 @@ class GaussianBlur(LinearOperator):
         n = self.domain_shape[0]
         r = self.kernel.radius
         lag = np.arange(n)[None, :] - np.arange(n)[:, None]
-        K = np.where(np.abs(lag) <= r, self.kernel.taps[np.clip(lag + r, 0, 2 * r)], 0.0)
+        K = np.where(np.abs(lag) <= r, self._taps[np.clip(lag + r, 0, 2 * r)], 0.0)
         top = float(np.linalg.norm(K, 2))
         return NormEstimate(value=top * top, converged=True, iterations=0)
 

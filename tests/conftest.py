@@ -8,7 +8,15 @@ block regardless of output capturing.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
+
+# pytest puts src/ on its own sys.path (pyproject's ``pythonpath``); the CLI and
+# script runs that tests start in fresh interpreters import graphlap from there too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "ci",

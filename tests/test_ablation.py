@@ -1,7 +1,6 @@
 """The ablation script: adaptive graph, fixed graph and Landweber arms per initializer."""
 
 import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +18,8 @@ COLUMNS = "problem,psi,arm,delta_rel,seed,stop_k,stop_reason,re,ssim,best_re"
 
 
 def run_script(*argv):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(SCRIPT), *argv], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, str(SCRIPT), *argv], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
 
 
 def load_script():

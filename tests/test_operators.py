@@ -11,7 +11,8 @@ import pytest
 from scipy import sparse
 
 import graphlap as gl
-from graphlap.forkjoin import second_core
+from graphlap import operators
+from graphlap.forkjoin import fork_join, second_core
 from graphlap.operators import _radon_matrix
 
 
@@ -59,6 +60,45 @@ def rejoined(left, right):
             indices.append(block.indices[lo:hi] + shift)
             data.append(block.data[lo:hi])
     return {"indptr": left.indptr + right.indptr, "indices": np.concatenate(indices), "data": np.concatenate(data)}
+
+
+def assert_blocks_equal_global_assembly(left, right, geometry):
+    """The two pixel-column blocks are the global-COO matrix cut at pixel n // 2,
+    byte for byte, dtypes included."""
+    want = global_coo_radon(geometry)
+    n = geometry.image_size ** 2
+    cut = n // 2
+    assert left.shape == (want.shape[0], cut) and right.shape == (want.shape[0], n - cut)
+    assert np.all(left.indices < cut) and np.all((right.indices >= 0) & (right.indices < n - cut))
+    got = rejoined(left, right)
+    for part in ("indptr", "indices", "data"):
+        assert got[part].dtype == getattr(want, part).dtype
+        assert np.array_equal(got[part], getattr(want, part)), part
+
+
+def assembly_threads(monkeypatch, hold=None):
+    """Angles by the id of the thread that assembled them, from every
+    per-angle call of the Radon assembly.  The first angle of thread ``hold``
+    waits until another thread has assembled one, or for 10 s."""
+    threads = {}
+    elsewhere = threading.Event()
+    angle_block = operators._angle_block
+
+    def recorded(geometry, t):
+        thread = threading.get_ident()
+        if thread != hold:
+            elsewhere.set()
+        elif thread not in threads:
+            elsewhere.wait(timeout=10.0)
+        threads.setdefault(thread, []).append(t)
+        return angle_block(geometry, t)
+
+    monkeypatch.setattr(operators, "_angle_block", recorded)
+    return threads
+
+
+def matrix_bytes(blocks):
+    return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
 
 
 # from a 2x2 image seen at one angle up; the odd sizes 3, 9 and 33 have odd
@@ -171,15 +211,41 @@ class TestRadonTransform:
     @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
     def test_angle_blocks_equal_global_assembly_bytes(self, size, angles):
         geom = gl.RadonGeometry(size, angles)
-        left, right = _radon_matrix(geom)
-        want = global_coo_radon(geom)
-        cut = size * size // 2
-        assert left.shape == (want.shape[0], cut) and right.shape == (want.shape[0], size * size - cut)
-        assert np.all(left.indices < cut) and np.all((right.indices >= 0) & (right.indices < size * size - cut))
-        got = rejoined(left, right)
-        for part in ("indptr", "indices", "data"):
-            assert got[part].dtype == getattr(want, part).dtype
-            assert np.array_equal(got[part], getattr(want, part)), part
+        assert_blocks_equal_global_assembly(*_radon_matrix(geom), geom)
+
+    @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
+    def test_split_assembly_equals_global_assembly_bytes(self, size, angles):
+        # the later angles on the worker, wherever the two threads meet; a
+        # single angle goes to whichever thread claims it first
+        geom = gl.RadonGeometry(size, angles)
+        with second_core():
+            left, right = _radon_matrix(geom)
+        assert_blocks_equal_global_assembly(left, right, geom)
+
+    def test_worker_assembles_the_later_angles(self, monkeypatch):
+        # the caller's first angle waits for the worker to claim one, so the
+        # worker always gets angles; without a worker the wait times out
+        here = threading.get_ident()
+        threads = assembly_threads(monkeypatch, hold=here)
+        geom = gl.RadonGeometry(33, 9)
+        A = gl.RadonTransform(geom)
+        mine = threads.pop(here)
+        assert len(threads) == 1, "no angle assembled off the calling thread"
+        (theirs,) = threads.values()
+        assert mine == list(range(len(mine))) and theirs == list(range(8, len(mine) - 1, -1))
+        assert_blocks_equal_global_assembly(A._left, A._right, geom)
+
+    def test_assembly_in_a_fork_branch_stays_on_its_thread(self, monkeypatch):
+        # the branches' worker is taken, so each operator built in a branch
+        # assembles every angle, in order, on that branch's thread
+        threads = assembly_threads(monkeypatch)
+        geom = gl.RadonGeometry(16, 7)
+        with second_core():
+            built = fork_join(lambda: gl.RadonTransform(geom), lambda: gl.RadonTransform(geom))
+        assert threading.get_ident() in threads
+        assert list(threads.values()) == [list(range(7))] * 2
+        for A in built:
+            assert_blocks_equal_global_assembly(A._left, A._right, geom)
 
     @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
     def test_adjoint_bits_equal_explicit_transpose(self, size, angles):
@@ -235,6 +301,33 @@ class TestRadonTransform:
         assert not any(t.is_alive() for t in callers)
         assert same == [True] * 200
 
+    def test_concurrent_assemblies_claim_every_angle_once(self):
+        # four builders, each with its own worker, on two cores, switching as
+        # often as the interpreter can: every angle is assembled exactly once
+        geom = gl.RadonGeometry(8, 64)
+        want = global_coo_radon(geom)
+        same = []
+
+        def builder():
+            for _ in range(6):
+                A = gl.RadonTransform(geom)
+                got = rejoined(A._left, A._right)
+                same.append(all(np.array_equal(got[part], getattr(want, part))
+                                for part in ("indptr", "indices", "data")))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            builders = [threading.Thread(target=builder) for _ in range(4)]
+            for t in builders:
+                t.start()
+            for t in builders:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in builders)
+        assert same == [True] * 24
+
     def test_holds_one_sparse_matrix(self):
         # the matrix's entries, once, split between its two pixel-column
         # blocks; no transpose or other copy is kept beside them
@@ -257,7 +350,22 @@ class TestRadonTransform:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
+        size = matrix_bytes(blocks)
+        assert peak <= 4.0 * size, f"peak {peak / size:.2f}x the matrix bytes"
+        assert retained <= 1.1 * size, f"retained {retained / size:.2f}x the matrix bytes"
+
+    def test_split_assembly_memory_stays_near_the_matrix(self):
+        # two angles' entries alive at a time, one per thread; the worker is
+        # opened and joined inside the measurement
+        geom = gl.RadonGeometry(64, 30)
+        tracemalloc.start()
+        try:
+            with second_core():
+                blocks = _radon_matrix(geom)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = matrix_bytes(blocks)
         assert peak <= 4.0 * size, f"peak {peak / size:.2f}x the matrix bytes"
         assert retained <= 1.1 * size, f"retained {retained / size:.2f}x the matrix bytes"
 
@@ -314,6 +422,24 @@ class TestBlur:
         assert k.radius == 6
         assert k.taps.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(k.taps, k.taps[::-1])
+
+    def test_taps_built_once_per_operator(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(40))
+        u = gl.ImageGrid(rng.random((16, 16)))
+        want = gl.GaussianBlur(gl.BlurKernel(rho=1.5), 16).apply(u).values
+        built = []
+        taps = gl.BlurKernel.taps
+
+        def counted(kernel):
+            built.append(kernel)
+            return taps.fget(kernel)
+
+        monkeypatch.setattr(gl.BlurKernel, "taps", property(counted))
+        B = gl.GaussianBlur(gl.BlurKernel(rho=1.5), 16)
+        outs = [B.apply(u).values for _ in range(3)] + [B.adjoint(u).values for _ in range(3)]
+        B.norm_estimate
+        assert len(built) == 1
+        assert all(out.tobytes() == want.tobytes() for out in outs)
 
     def test_invalid_rho_rejected(self):
         for rho in (0.0, math.inf, math.nan):
