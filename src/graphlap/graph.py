@@ -23,6 +23,23 @@ images (a solver that rebuilds every few steps), or when the explicit sparse
 W, the degrees and the (i, j, w) triplets are asked for (the graph dumps and
 the tests).  Nothing is cached between builds.  Weights are kept however small
 they are, so the exported structure holds every within-radius pair.
+
+Weights that underflow cost what the others cost.  numpy's vectorized float64
+``exp`` leaves its fast path for arguments below about -707.8: over 16,384
+equal arguments it takes 15-22 us at -1 and -700, 300-330 us at -707.8,
+2,000-2,300 us where the result is subnormal (-720) and 115-360 us where it
+is 0 (numpy 2.4.6 on an AVX-512 Xeon, ``BENCH_exp_underflow.json``).  An
+image far from the [0, 1] scale sigma expects (the CT adjoint start has
+||u0|| ~ 1e5) sends most of its arguments t = -d^2 / sigma there.  So a band
+with many arguments below FAST_EXP_FLOOR is evaluated clamped: exp of
+max(t, FAST_EXP_FLOOR) over the whole band, 0 where t was below the floor,
+and plain ``exp`` again on the gathered few in (EXP_UNDERFLOW, FAST_EXP_FLOOR).
+``exp`` works elementwise and is exactly 0 from EXP_UNDERFLOW down, so every
+weight keeps the bits ``np.exp(t)`` gives it, and the constants decide only
+what runs fast.  One O(n) spread check per build,
+(max u - min u)^2 / sigma <= -FAST_EXP_FLOOR, proves that no argument leaves
+the fast range; such an image (deblur, the CT starts, late CT iterates) runs
+the plain loop with no added pass.
 """
 
 from __future__ import annotations
@@ -38,6 +55,14 @@ from .errors import ConfigurationError, ShapeMismatch
 from .grid import ImageGrid, write_table
 
 METRICS = ("manhattan", "chebyshev")
+
+# np.exp stays on its vectorized fast path for arguments above about -707.8
+FAST_EXP_FLOOR = -700.0
+# exp(t) rounds to 0 for every t at or below -745.1332191019412
+EXP_UNDERFLOW = -746.0
+# a band is clamped while at least 1/CLAMP_SHARE of its arguments lie below the
+# floor; on fewer the mask passes cost more than np.exp's slow lanes
+CLAMP_SHARE = 64
 
 
 @dataclass(frozen=True)
@@ -86,6 +111,35 @@ def _shifts(config: GraphConfig, height: int, width: int):
             dist = di + abs(dj) if config.metric == "manhattan" else max(di, abs(dj))
             if dist <= r:
                 yield dj, di * width + dj
+
+
+def _within_fast_exp(flat: np.ndarray, sigma: float) -> bool:
+    """True when no weight argument -(u(a) - u(b))^2 / sigma of this image can
+    fall below FAST_EXP_FLOOR.
+
+    Every difference is at most the spread max - min in magnitude, and
+    rounding is monotone, so the spread's argument bounds every pair's, each
+    computed by the same operations.  NaN or inf pixels fail the check.
+    """
+    spread = flat.max() - flat.min()
+    return bool(spread * spread / sigma <= -FAST_EXP_FLOOR)
+
+
+def _clamped_exp(t: np.ndarray, low: np.ndarray) -> None:
+    """t <- np.exp(t) bit for bit, where ``low`` is t < FAST_EXP_FLOOR.
+
+    exp runs over the whole band on max(t, FAST_EXP_FLOOR), which keeps it on
+    its fast path; entries below the floor are then zeroed, and those in
+    (EXP_UNDERFLOW, FAST_EXP_FLOOR), the only ones below the floor whose exp
+    is not 0, are evaluated again from their gathered arguments.  NaN stays
+    NaN.  ``low`` is overwritten.
+    """
+    near = np.flatnonzero(low & (t > EXP_UNDERFLOW))
+    args = t[near]
+    np.maximum(t, FAST_EXP_FLOOR, out=t)
+    np.exp(t, out=t)
+    np.multiply(t, np.logical_not(low, out=low), out=t)
+    t[near] = np.exp(args)
 
 
 def _valid(height: int, width: int, dj: int, s: int) -> np.ndarray:
@@ -155,6 +209,14 @@ class SparseLaplacian:
         already in hand, w = exp(d * d / -sigma) (dividing by -sigma rounds
         exactly like negating and then dividing by sigma); ``keep`` stores
         them, otherwise one scratch buffer serves every band.
+
+        Unless the spread check clears the image, each band counts its
+        arguments below FAST_EXP_FLOOR and, while they are at least
+        1/CLAMP_SHARE of it, is evaluated by ``_clamped_exp``, with the bits
+        np.exp gives.  The counting stops at the first band with fewer: an
+        image with a handful of low arguments (a late CT iterate) pays for one
+        band's count and np.exp's slow lanes on the handful, which cost less
+        than masking or gathering them.
         """
         height, width = x.shape
         n = height * width
@@ -162,6 +224,7 @@ class SparseLaplacian:
         out = np.zeros(n, dtype=np.float64)
         diff = np.empty(n, dtype=np.float64)
         scratch = np.empty(n, dtype=np.float64) if bands is None and not keep else None
+        clamp = bands is None and not _within_fast_exp(flat, self.config.sigma)
         kept = []
         for i, (dj, s) in enumerate(_shifts(self.config, height, width)):
             m = n - s
@@ -173,7 +236,13 @@ class SparseLaplacian:
                 w = padded[:m]
                 np.multiply(d, d, out=w)
                 np.divide(w, -self.config.sigma, out=w)
-                np.exp(w, out=w)
+                if clamp:
+                    low = w < FAST_EXP_FLOOR
+                    clamp = np.count_nonzero(low) * CLAMP_SHARE >= m
+                if clamp:
+                    _clamped_exp(w, low)
+                else:
+                    np.exp(w, out=w)
                 rows = padded.reshape(height, width)
                 if dj > 0:
                     rows[:, width - dj:] = 0.0

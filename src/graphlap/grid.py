@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatch
 
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
+
 
 def _checked_values(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C", copy=True)
@@ -93,8 +95,20 @@ def dot(a, b) -> float:
 
 
 def norm(a) -> float:
-    """Euclidean norm, sqrt(dot(a, a))."""
-    return float(np.sqrt(np.sum(a.values * a.values)))
+    """Euclidean norm, sqrt(dot(a, a)).
+
+    A sum of squares below the smallest normal float has lost its relative
+    precision (it is 0 for [[1e-200]]), and one that overflows is inf; only
+    then is the norm taken again on a / max|a| and scaled back.  Every other
+    input keeps the plain sum's bits.
+    """
+    squares = np.sum(a.values * a.values)
+    if not (_SMALLEST_NORMAL <= squares < np.inf):
+        top = np.max(np.abs(a.values))
+        if top > 0.0:
+            unit = a.values / top
+            return float(top * np.sqrt(np.sum(unit * unit)))
+    return float(np.sqrt(squares))
 
 
 def add(a, b):

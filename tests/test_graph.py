@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import graphlap as gl
+from graphlap import graph
+from graphlap.graph import SparseLaplacian, _shifts
 
 DEMO = gl.ImageGrid([[0.2, 0.3], [0.5, 0.1]])
 DEMO_CFG = gl.GraphConfig(radius=1.0, sigma=0.01, metric="manhattan")
@@ -168,6 +170,125 @@ class TestBuild:
         rows, cols, _ = lap.triplets()
         keys = rows * lap.n + cols
         assert np.all(np.diff(keys) > 0)
+
+
+class PlainExpLaplacian(SparseLaplacian):
+    """The Laplacian with every weight band evaluated by plain np.exp: the
+    reference the clamped evaluation must match bit for bit."""
+
+    def _pass(self, x, bands=None, keep=False):
+        height, width = x.shape
+        n = height * width
+        flat = x.values.ravel()
+        out = np.zeros(n)
+        kept = []
+        for i, (dj, s) in enumerate(_shifts(self.config, height, width)):
+            m = n - s
+            d = flat[:m] - flat[s:]
+            if bands is None:
+                padded = np.zeros(n)
+                padded[:m] = np.exp(d * d / -self.config.sigma)
+                rows = padded.reshape(height, width)
+                if dj > 0:
+                    rows[:, width - dj:] = 0.0
+                elif dj < 0:
+                    rows[:, :-dj] = 0.0
+                w = padded[:m]
+                kept.append(w)
+            else:
+                w = bands[i]
+            d *= w
+            out[:m] += d
+            out[s:] -= d
+        if keep:
+            self._bands = tuple(kept)
+        return out
+
+
+# weight arguments -d^2/sigma around np.exp's edges: the clamp floor, where
+# exp leaves its fast path, the smallest normal result, a subnormal one, the
+# last argument whose exp is not 0 and the first whose exp is, then far below
+EDGE_ARGUMENTS = (-700.0, -707.8, -708.3964185322641, -720.0, -745.1332191019411,
+                  -745.1332191019412, -746.0, -1e6)
+
+
+def landing_difference(target):
+    """(sigma, d) among sigma 0.05 and 1 with d * d / -sigma == target exactly."""
+    for sigma in (0.05, 1.0):
+        d = math.sqrt(-target * sigma)
+        for candidate in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+            if candidate * candidate / -sigma == target:
+                return sigma, candidate
+    raise AssertionError(f"no pixel difference lands on {target!r}")
+
+
+def unchecked_image(values):
+    """An ImageGrid that may hold NaN and inf, past the constructor's check."""
+    image = object.__new__(gl.ImageGrid)
+    object.__setattr__(image, "values", np.asarray(values, dtype=np.float64))
+    return image
+
+
+def edge_images():
+    """(image, config) pairs whose weight arguments cover the whole range of np.exp."""
+    rng = np.random.Generator(np.random.Philox(17))
+    noise = rng.random((20, 20))
+    ramp = np.add.outer(np.arange(20.0), np.arange(20.0)) / 38.0
+    # the band of offset (0, 1) is all low, the next one, (0, 2), all 0
+    stripes = np.indices((20, 20))[1] % 2.0
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6):
+        for base in (noise, ramp, stripes):
+            yield gl.ImageGrid(scale * base), gl.GraphConfig()
+    landings = [landing_difference(t) for t in EDGE_ARGUMENTS]
+    for sigma in sorted({sigma for sigma, _ in landings}):
+        # every pixel pair within manhattan radius 1 differs by 0 or by one d
+        row = np.zeros(2 * len(landings) + 1)
+        row[1::2] = [d if landed == sigma else 0.0 for landed, d in landings]
+        yield gl.ImageGrid(np.array([np.zeros_like(row), row, np.zeros_like(row)])), \
+            gl.GraphConfig(radius=1, sigma=sigma, metric="manhattan")
+    wild = 1e3 * noise
+    wild[rng.random(wild.shape) < 0.1] = np.inf
+    wild[rng.random(wild.shape) < 0.1] = -np.inf
+    wild[rng.random(wild.shape) < 0.05] = np.nan
+    yield unchecked_image(wild), gl.GraphConfig(radius=2)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestWeightUnderflow:
+    """Weights evaluated outside np.exp's fast range have np.exp's bits."""
+
+    def test_bit_identical_to_plain_exp(self, monkeypatch):
+        clamped = []
+        clamped_exp = graph._clamped_exp
+
+        def counted(t, low):
+            clamped.append(t.size)
+            clamped_exp(t, low)
+
+        monkeypatch.setattr(graph, "_clamped_exp", counted)
+        # inf - inf and inf * 0 on the image with NaN and inf pixels
+        with np.errstate(invalid="ignore"):
+            for image, cfg in edge_images():
+                want = PlainExpLaplacian(image, cfg)
+                for got_bands, want_bands in zip(gl.build_laplacian(image, cfg).bands, want.bands, strict=True):
+                    assert_same_bits(got_bands, want_bands)
+                for reuse in (False, True):
+                    got = gl.build_laplacian(image, cfg, reuse=reuse)
+                    ref = PlainExpLaplacian(image, cfg, reuse=reuse)
+                    # what the first apply to the build image computes
+                    assert_same_bits(got._pass(image, keep=reuse), ref._pass(image, keep=reuse))
+                    if np.isfinite(image.values).all():
+                        assert_same_bits(gl.build_laplacian(image, cfg, reuse=reuse).apply(image).values,
+                                         PlainExpLaplacian(image, cfg, reuse=reuse).apply(image).values)
+                weights = gl.build_laplacian(image, cfg).weights
+                assert_same_bits(weights.data, want.weights.data)
+                assert np.array_equal(weights.indices, want.weights.indices)
+                assert np.array_equal(weights.indptr, want.weights.indptr)
+        assert clamped, "no band took the clamped evaluation"
 
 
 @pytest.fixture(scope="module")

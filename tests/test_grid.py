@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -84,6 +84,13 @@ class TestAlgebra:
     def test_norm_of_zeros(self):
         assert gl.norm(gl.ImageGrid(np.zeros((2, 5)))) == 0.0
 
+    def test_norm_outside_the_range_of_squares(self):
+        # the squares underflow to 0 or overflow to inf; the norm does neither
+        assert gl.norm(gl.ImageGrid([[1e-200]])) == 1e-200
+        assert gl.norm(gl.ImageGrid([[0.0, -1e-200]])) == 1e-200
+        with np.errstate(over="ignore"):
+            assert gl.norm(gl.ImageGrid([[3e200, 4e200]])) == pytest.approx(5e200, rel=1e-15)
+
     def test_mixed_types_rejected(self):
         with pytest.raises(gl.ShapeMismatch):
             gl.dot(gl.ImageGrid(np.zeros((2, 2))), gl.Sinogram(np.zeros((2, 2))))
@@ -98,6 +105,8 @@ class TestAlgebra:
         assert gl.dot(a, b) == gl.dot(b, a)
 
     @given(image_pairs())
+    @example((gl.ImageGrid([[1.0]]), gl.ImageGrid([[1.1125369292536007e-308]])))
+    @example((gl.ImageGrid([[3e-158]]), gl.ImageGrid([[7e-159]])))
     def test_cauchy_schwarz(self, pair):
         a, b = pair
         assert abs(gl.dot(a, b)) <= gl.norm(a) * gl.norm(b) * (1.0 + 1e-12)

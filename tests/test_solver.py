@@ -12,7 +12,7 @@ import pytest
 from scipy.sparse import _sparsetools
 
 import graphlap as gl
-from graphlap import operators, solver
+from graphlap import graph, operators, solver
 from graphlap.graph import SparseLaplacian
 from graphlap.solver import (
     DISCREPANCY_MET,
@@ -492,6 +492,35 @@ class TestDeterminism:
         assert len(worker.trace) > 10
         assert (tmp_path / "worker.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
         assert worker.final_iterate.values.tobytes() == serial.final_iterate.values.tobytes()
+
+    def test_underflowing_weights_match_plain_exp(self, tmp_path, monkeypatch):
+        # at the adjoint start's native scale most graph weights underflow, so
+        # the clamped evaluation runs; with every band sent through plain
+        # np.exp instead, no byte of the trace or of the final iterate moves
+        truth = gl.shepp_logan(32)
+        A = gl.RadonTransform(gl.RadonGeometry(32, 16))
+        noisy, delta = gl.add_noise(A.apply(truth), gl.NoiseSpec(delta_rel=0.05, seed=0))
+        clamped = []
+        clamped_exp = graph._clamped_exp
+
+        def counted(t, low):
+            clamped.append(t.size)
+            clamped_exp(t, low)
+
+        monkeypatch.setattr(graph, "_clamped_exp", counted)
+        results = []
+        for name in ("clamped", "plain"):
+            if name == "plain":
+                monkeypatch.setattr(graph, "_within_fast_exp", lambda flat, sigma: True)
+            clamped.clear()
+            res = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(), truth=truth)
+            write_trace_csv(res.trace, tmp_path / f"{name}.csv")
+            results.append((res, len(clamped)))
+        (fast, fast_bands), (plain, plain_bands) = results
+        assert fast_bands > 0 and plain_bands == 0
+        assert len(fast.trace) > 10
+        assert (tmp_path / "clamped.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert fast.final_iterate.values.tobytes() == plain.final_iterate.values.tobytes()
 
     def test_trace_csv_round_trips(self, tmp_path):
         A, truth, clean, noisy, delta = ct16_problem()
