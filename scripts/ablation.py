@@ -34,7 +34,8 @@ from graphlap.phantoms import NoiseSpec, add_noise
 from graphlap.recon import PSI_KINDS, ReconstructorSpec
 from graphlap.solver import solve
 
-COLUMNS = ("problem", "psi", "arm", "delta_rel", "seed", "stop_k", "stop_reason", "re", "ssim", "best_re")
+COLUMNS = ("problem", "psi", "arm", "delta_rel", "seed", "stop_k", "stop_reason", "re", "ssim", "best_re",
+           "constant_C")
 
 
 def arms(config: cli.ExperimentConfig) -> dict:
@@ -73,13 +74,14 @@ def run(cells) -> list:
                 try:
                     result = solve(A, noisy, delta, ReconstructorSpec(kind=config.psi), params, truth=truth)
                 except DivergenceError as exc:
-                    trace, k, reason, re, ssim = exc.trace, len(exc.trace), "diverged", math.nan, math.nan
+                    trace, k, reason = exc.trace, len(exc.trace), "diverged"
+                    re = ssim = constant_c = math.nan
                 else:
                     quality = evaluate(result.final_iterate, truth)
                     trace, k, reason = result.trace, result.stop_index, result.stop_reason
-                    re, ssim = quality.re, quality.ssim
+                    re, ssim, constant_c = quality.re, quality.ssim, result.constant_c
                 best = min((r.error_to_truth for r in trace), default=math.nan) / truth_norm
-                rows.append((config.problem, config.psi, arm, level, seed, k, reason, re, ssim, best))
+                rows.append((config.problem, config.psi, arm, level, seed, k, reason, re, ssim, best, constant_c))
     return rows
 
 

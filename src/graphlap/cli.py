@@ -134,7 +134,7 @@ def parse_config(argv) -> ExperimentConfig:
     if config.problem == "ct":
         RadonGeometry(image_size=config.size, num_angles=config.angles)
     elif config.problem == "deblur":
-        BlurKernel(rho=config.rho)
+        GaussianBlur(BlurKernel(rho=config.rho), size=config.size)
     return config
 
 

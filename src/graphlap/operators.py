@@ -2,11 +2,8 @@
 
 Every operator is linear with an adjoint that is the exact transpose of the
 forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
-rounding error.  The Radon transform is assembled once per operator as a
-sparse matrix held in two pixel-column blocks, angle by angle, with the later
-angles on a worker thread: two angles' entries are alive at a time, one per
-thread, and the blocks hold the bytes of one serial assembly.  Its adjoint
-runs the blocks' transposes (CSC views of the same arrays), and both give the
+rounding error.  The Radon transform is a sparse matrix, assembled once per
+operator on two threads and held as two pixel-column blocks; A and A* give the
 bytes of the one-matrix products.  The blur is a separable zero-padded
 convolution with symmetric taps (hence self-adjoint), built once per
 operator.
@@ -99,15 +96,11 @@ class RadonGeometry:
 
 
 def _angle_block(geometry: RadonGeometry, t: int):
-    """The left and right pixel-column CSR blocks of the rays of angle ``t``.
+    """The rays of angle ``t`` as CSR blocks of the pixels below ``n // 2``
+    and of the rest.
 
-    Each ray (row) belongs to exactly one angle, so the matrix is assembled
-    one angle's block of rows at a time, and a call holds only its own
-    angle's (ray, pixel, weight) entries.  ``tocsr`` orders each row's
-    entries and sums its duplicates from the same input sequence as one
-    global conversion would.  The block is then cut at pixel ``n // 2``: the
-    left block keeps the columns below the cut, the right block the rest,
-    renumbered from zero.
+    A call holds only its own angle's (ray, pixel, weight) entries; ``tocsr``
+    orders and sums them as one global conversion would.
     """
     size = geometry.image_size
     d = geometry.num_detectors
@@ -143,30 +136,18 @@ def _angle_block(geometry: RadonGeometry, t: int):
         (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(d, size * size),
     ).tocsr()
-    # a row's entries are sorted by column, so its left-block entries come
-    # first; the right-block entries before a row's start give that row's
-    # pointer in the right block
-    left = block.indices < cut
-    right = np.flatnonzero(~left)
-    right_ptr = np.searchsorted(right, block.indptr).astype(block.indptr.dtype)
-    return (sparse.csr_matrix((block.data[left], block.indices[left], block.indptr - right_ptr), shape=(d, cut)),
-            sparse.csr_matrix((block.data[right], block.indices[right] - cut, right_ptr),
-                              shape=(d, size * size - cut)))
+    return block[:, :cut], block[:, cut:]
 
 
 def _radon_matrix(geometry: RadonGeometry):
     """Forward projection matrix as two CSR pixel-column blocks.
 
-    The calling thread assembles angles from the first one up and, through
-    ``fork_join``, the worker from the last one down, each claiming its next
-    angle (``_angle_block``) until the two meet.  So the caller assembles a
-    leading run of the angles and the worker the rest, about half each on
-    two free cores; where the worker is slow to start, or taken, the caller
-    assembles more of them, or all.  Two angles' entries are alive at a
-    time, one per thread.  The blocks are stacked in angle order, and a row
-    of the whole matrix is its row of the left block followed by its row of
-    the right block, so the two blocks hold the same bytes as one global
-    conversion, plus one ``indptr``, whichever thread assembled each angle.
+    The calling thread claims angles (``_angle_block``) from the first one up
+    and, through ``fork_join``, the worker from the last one down, until the
+    two meet; a worker that is slow or taken leaves the caller more of them.
+    Two angles' entries are alive at a time, one per thread.  Stacked in angle
+    order, the blocks hold the bytes of one global conversion, plus one
+    ``indptr``, whichever thread assembled each angle.
     """
     lock = threading.Lock()
     bounds = [0, geometry.num_angles]  # the angles no thread has claimed yet
@@ -195,16 +176,12 @@ def _radon_matrix(geometry: RadonGeometry):
 class RadonTransform(LinearOperator):
     """Discrete Radon transform via bilinear interpolation along rays.
 
-    The matrix is held as two pixel-column blocks (``_radon_matrix``), built
-    inside ``second_core()``: its worker assembles the later angles, about
-    half of them, except where the worker is taken (in a fork's branch), where
-    the calling thread assembles them all.  A runs two halves of the rays and
-    A* the two blocks' CSC views, one half into each half of the pixels;
-    ``fork_join`` hands the second half to the solve's worker when one is
-    free.  ``csr_matvec`` and ``csc_matvec`` add into their output, so every
-    ray and every pixel sums the same terms in the same order as the
-    one-matrix product ``M @ x`` or ``M.T @ s``, and the results are the
-    same bytes.
+    The matrix is held as two pixel-column blocks (``_radon_matrix``),
+    assembled inside ``second_core()``.  A runs two halves of the rays and A*
+    the two blocks' transposes, one per half of the pixels; ``fork_join``
+    hands the second half to the solve's worker when one is free.  Every ray
+    and every pixel sums the same terms in the same order as ``M @ x`` or
+    ``M.T @ s`` on the one matrix, so the results are the same bytes.
     """
 
     def __init__(self, geometry: RadonGeometry):
@@ -221,7 +198,8 @@ class RadonTransform(LinearOperator):
         out = np.zeros(self._left.shape[0])
 
         def rays(lo, hi):
-            # each ray adds its left-block terms, then its right-block ones
+            # each ray adds its left-block terms, then its right-block ones:
+            # scipy's private kernel, as no public product adds into an output
             for block, part in ((self._left, x[:cut]), (self._right, x[cut:])):
                 _sparsetools.csr_matvec(hi - lo, block.shape[1], block.indptr[lo:hi + 1], block.indices,
                                         block.data, part, out[lo:hi])
@@ -234,16 +212,9 @@ class RadonTransform(LinearOperator):
         if not isinstance(s, Sinogram) or s.shape != self.range_shape:
             raise ShapeMismatch(f"expected a Sinogram of shape {self.range_shape}")
         y = s.values.ravel()
-        cut = self._left.shape[1]
-        out = np.zeros(cut + self._right.shape[1])
-
-        def pixels(block, part):
-            # the block's CSC view: each pixel sums over increasing ray index
-            _sparsetools.csc_matvec(block.shape[1], block.shape[0], block.indptr, block.indices, block.data,
-                                    y, part)
-
-        fork_join(lambda: pixels(self._left, out[:cut]), lambda: pixels(self._right, out[cut:]))
-        return ImageGrid(out.reshape(self.domain_shape))
+        # the blocks' CSC views: each pixel sums over increasing ray index
+        halves = fork_join(lambda: self._left.T @ y, lambda: self._right.T @ y)
+        return ImageGrid(np.concatenate(halves).reshape(self.domain_shape))
 
 
 @dataclass(frozen=True)
@@ -282,6 +253,10 @@ class GaussianBlur(LinearOperator):
     def __init__(self, kernel: BlurKernel, size: int):
         if not (isinstance(size, numbers.Integral) and size >= 1):
             raise ConfigurationError(f"size must be >= 1 and an integer, got {size!r}")
+        # the taps grow with rho, not with the image: rejected rather than
+        # clipped, which would change the renormalized taps
+        if kernel.rho > size:
+            raise ConfigurationError(f"rho must not exceed the image side {size}, got {kernel.rho}")
         self.kernel = kernel
         self._taps = kernel.taps
         self.domain_shape = (size, size)

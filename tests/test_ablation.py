@@ -14,7 +14,7 @@ from graphlap.recon import ReconstructorSpec
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "ablation.py"
 SMOKE = ["--problem", "ct", "--size", "16", "--angles", "8", "--max-iter", "60"]
-COLUMNS = "problem,psi,arm,delta_rel,seed,stop_k,stop_reason,re,ssim,best_re"
+COLUMNS = "problem,psi,arm,delta_rel,seed,stop_k,stop_reason,re,ssim,best_re,constant_C"
 
 
 def run_script(*argv):
@@ -60,8 +60,8 @@ def test_adaptive_row_matches_the_cli(smoke, tmp_path):
     header, line = (tmp_path / "report.csv").read_text().splitlines()
     report = dict(zip(header.split(","), line.split(",")))
     (row,) = [r for r in smoke[1] if (r["psi"], r["arm"]) == ("adjoint", "adaptive")]
-    assert (row["re"], row["stop_k"], row["stop_reason"]) == (report["re"], report["iterations"],
-                                                               report["stop_reason"])
+    assert (row["re"], row["stop_k"], row["stop_reason"], row["constant_C"]) == (
+        report["re"], report["iterations"], report["stop_reason"], report["constant_C"])
 
 
 def test_arms_differ_only_in_the_graph_term(monkeypatch):
@@ -114,3 +114,4 @@ def test_diverged_solve_is_a_row(tmp_path):
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert [r["arm"] for r in rows] == ["adaptive", "fixed", "landweber"]
     assert all(r["stop_reason"] == "diverged" and r["re"] == "nan" and int(r["stop_k"]) > 1 for r in rows)
+    assert all(r["ssim"] == r["constant_C"] == "nan" for r in rows)

@@ -275,6 +275,7 @@ class TestExitCodes:
                      ["--problem", "ct", "--size", "16", "--delta-rel", "inf"],
                      ["--problem", "ct", "--size", "16", "--seed", "-1"],
                      ["--problem", "deblur", "--rho", "inf"],
+                     ["--problem", "deblur", "--size", "16", "--rho", "1e6"],
                      ["--problem", "ct", "--size", "16", "--sigma", "inf"],
                      ["--config", str(cfg)]):
             assert cli.main([*argv, "--out", str(out)]) == 2

@@ -152,7 +152,8 @@ class TestRadonGeometry:
     @pytest.mark.parametrize("kwargs", [dict(image_size=1, num_angles=4),
                                         dict(image_size=8, num_angles=0),
                                         dict(image_size=8, num_angles=2.5),
-                                        dict(image_size=8.5, num_angles=3)])
+                                        dict(image_size=8.5, num_angles=3)],
+                             ids=["image-side-1", "zero-angles", "fractional-angles", "fractional-side"])
     def test_invalid_geometry_rejected(self, kwargs):
         with pytest.raises(gl.ConfigurationError):
             gl.RadonGeometry(**kwargs)
@@ -492,8 +493,21 @@ class TestBlur:
             with pytest.raises(gl.ConfigurationError):
                 gl.GaussianBlur(gl.BlurKernel(rho=1.0), size)
 
-    @pytest.mark.parametrize("size", [1, 8, 16, 24])
-    @pytest.mark.parametrize("rho", [0.5, 1.5, 4.0])
+    @pytest.mark.parametrize("rho,size", [(1.5, 1), (4.0, 1), (1e6, 16)])
+    def test_rho_wider_than_the_image_rejected(self, rho, size):
+        # checked before any tap is built: rho = 1e6 would take 64 MB of taps
+        kernel = gl.BlurKernel(rho=rho)
+        tracemalloc.start()
+        try:
+            with pytest.raises(gl.ConfigurationError, match="rho must not exceed the image side"):
+                gl.GaussianBlur(kernel, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("rho,size", [(rho, size) for rho in (0.5, 1.5, 4.0) for size in (1, 8, 16, 24)
+                                          if rho <= size])
     def test_norm_is_exact(self, size, rho):
         # rho = 4 reaches past the image edge at every size here
         B = gl.GaussianBlur(gl.BlurKernel(rho=rho), size)
