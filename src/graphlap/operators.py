@@ -3,8 +3,10 @@
 Every operator is linear with an adjoint that is the exact transpose of the
 forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
 rounding error.  The Radon transform is a sparse matrix, assembled once per
-operator on two threads and held as two pixel-column blocks; A and A* give the
-bytes of the one-matrix products.  The blur is a separable zero-padded
+operator on two threads and held as two pixel-column blocks; each angle goes
+into the blocks' final arrays as it is built, so at most two angles' entries
+are alive beside them, and A and A* give the bytes of the one-matrix
+products.  The blur is a separable zero-padded
 convolution with symmetric taps (hence self-adjoint), built once per
 operator.
 """
@@ -139,47 +141,126 @@ def _angle_block(geometry: RadonGeometry, t: int):
     return block[:, :cut], block[:, cut:]
 
 
+def _block_capacities(geometry: RadonGeometry) -> np.ndarray:
+    """Per angle, at most how many entries its rays put into the left and
+    into the right pixel-column block, shape ``(num_angles, 2)``.
+
+    A sample point (px, py) reaches the pixels (x0 + {0, 1}, y0 + {0, 1}) of
+    its floor (x0, y0): at most 4 entries, and merging duplicates only lowers
+    that.  With E the image side and cut = E^2 // 2, it can reach a left-block
+    pixel only if px is in [-1, E) and py in [-1, (cut - 1) // E + 1), and a
+    right-block one only if px is in [-1, E) and py in [cut // E - 1, E).
+    Along a ray each condition holds on an interval of steps.  The slabs are
+    widened by 1e-6 pixel and the intervals by one step at each end, so no
+    rounding of a sample point takes it outside the count.
+    """
+    size = geometry.image_size
+    cut = size * size // 2
+    center = (size - 1) / 2.0
+    half_span = math.ceil(math.sqrt(2.0) * size / 2.0)
+    theta = geometry.angles[:, None]
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    offsets = geometry.detector_offsets[None, :]
+
+    def steps_within(start, slope, lo, hi):
+        # the steps k with lo <= start + k * slope < hi, every ray at once
+        lo, hi = lo - 1e-6, hi + 1e-6
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at_lo, at_hi = (lo - start) / slope, (hi - start) / slope
+        flat = np.where((lo <= start) & (start < hi), np.inf, -np.inf)
+        first = np.where(slope > 0, at_lo, np.where(slope < 0, at_hi, -flat))
+        last = np.where(slope > 0, at_hi, np.where(slope < 0, at_lo, flat))
+        return first, last
+
+    x_first, x_last = steps_within(center + offsets * cos_t, -sin_t, -1, size)
+    capacities = []
+    for lo, hi in ((-1, (cut - 1) // size + 1), (cut // size - 1, size)):
+        y_first, y_last = steps_within(center + offsets * sin_t, cos_t, lo, hi)
+        first = np.maximum(np.ceil(np.maximum(x_first, y_first)) - 1, -half_span)
+        last = np.minimum(np.floor(np.minimum(x_last, y_last)) + 1, half_span)
+        capacities.append(4 * np.maximum(last - first + 1, 0).sum(axis=1))
+    return np.stack(capacities, axis=1).astype(np.int64)
+
+
 def _radon_matrix(geometry: RadonGeometry):
     """Forward projection matrix as two CSR pixel-column blocks.
 
     The calling thread claims angles (``_angle_block``) from the first one up
     and, through ``fork_join``, the worker from the last one down, until the
     two meet; a worker that is slow or taken leaves the caller more of them.
-    Two angles' entries are alive at a time, one per thread.  Stacked in angle
-    order, the blocks hold the bytes of one global conversion, plus one
-    ``indptr``, whichever thread assembled each angle.
+    Each angle's entries go into the final ``data`` and ``indices`` arrays of
+    each block as soon as they are built, so at most two angles' entries are
+    alive at a time, one per thread.  The arrays are allocated at a bound on
+    the entries (``_block_capacities``); the caller fills them from the front
+    and the worker from the back, and after the join the worker's run moves
+    down to follow the caller's and the arrays shrink to fit.  The blocks hold
+    the bytes of one global conversion, plus one ``indptr``, whichever thread
+    assembled each angle.
     """
+    m, d = geometry.num_angles, geometry.num_detectors
+    n = geometry.image_size ** 2
+    capacity = [int(c) for c in _block_capacities(geometry).sum(axis=0)]
+    data = [np.empty(c) for c in capacity]
+    indices = [np.empty(c, dtype=np.int32) for c in capacity]
+    counts = np.empty((2, m * d), dtype=np.int64)  # entries per ray and block
     lock = threading.Lock()
     bounds = [0, geometry.num_angles]  # the angles no thread has claimed yet
+    front, back = [0, 0], list(capacity)  # per block, the slots no thread has taken
+
+    def place(t: int, up: bool, blocks):
+        for h, block in enumerate(blocks):
+            size = block.nnz
+            with lock:
+                if front[h] + size > back[h]:
+                    raise RuntimeError(f"Radon block {h} outgrew its capacity {capacity[h]} at angle {t}")
+                if up:
+                    at = front[h]
+                    front[h] += size
+                else:
+                    back[h] -= size
+                    at = back[h]
+            data[h][at:at + size] = block.data
+            indices[h][at:at + size] = block.indices
+            counts[h, t * d:(t + 1) * d] = np.diff(block.indptr)
 
     def assemble(up: bool):
-        blocks = []
         while True:
             with lock:
                 if bounds[0] == bounds[1]:
-                    return blocks
+                    return
                 if up:
                     t = bounds[0]
                     bounds[0] += 1
                 else:
                     bounds[1] -= 1
                     t = bounds[1]
-            blocks.append(_angle_block(geometry, t))
+            place(t, up, _angle_block(geometry, t))
 
-    first, later = fork_join(lambda: assemble(True), lambda: assemble(False))
-    lefts, rights = zip(*(first + later[::-1]))
-    # stacking CSR blocks concatenates their data and indices and offsets
-    # their row pointers; nothing is re-sorted
-    return sparse.vstack(lefts, format="csr"), sparse.vstack(rights, format="csr")
+    fork_join(lambda: assemble(True), lambda: assemble(False))
+    blocks = []
+    for h, width in enumerate((n // 2, n - n // 2)):
+        # the worker stored its angles last to first from the end, so its
+        # run already follows angle order
+        run = capacity[h] - back[h]
+        for part in (data[h], indices[h]):
+            part[front[h]:front[h] + run] = part[back[h]:]
+            part.resize(front[h] + run, refcheck=False)
+        indptr = np.concatenate(([0], np.cumsum(counts[h])))
+        # int32 indptr and indices, as a global conversion stores them
+        blocks.append(sparse.csr_matrix((data[h], indices[h], indptr), shape=(m * d, width)))
+    return tuple(blocks)
 
 
 class RadonTransform(LinearOperator):
     """Discrete Radon transform via bilinear interpolation along rays.
 
     The matrix is held as two pixel-column blocks (``_radon_matrix``),
-    assembled inside ``second_core()``.  A runs two halves of the rays and A*
-    the two blocks' transposes, one per half of the pixels; ``fork_join``
-    hands the second half to the solve's worker when one is free.  Every ray
+    assembled inside ``second_core()`` with each angle written into the
+    blocks' final arrays as it is built: at most two angles' entries are alive
+    beside them, and the blocks hold the bytes of one global conversion.  A
+    runs two halves of the rays and A* the two blocks' transposes, one per
+    half of the pixels; ``fork_join`` hands the second half to the solve's
+    worker when one is free.  Every ray
     and every pixel sums the same terms in the same order as ``M @ x`` or
     ``M.T @ s`` on the one matrix, so the results are the same bytes.
     """

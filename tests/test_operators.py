@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -104,6 +105,9 @@ def matrix_bytes(blocks):
 # from a 2x2 image seen at one angle up; the odd sizes 3, 9 and 33 have odd
 # pixel counts, which the blocks cut into unequal halves
 BIT_GEOMETRIES = [(2, 1), (3, 2), (9, 5), (16, 7), (33, 10), (64, 30)]
+# plus an odd side with more angles, the benchmark image size, and many
+# angles on small images
+CAPACITY_GEOMETRIES = BIT_GEOMETRIES + [(37, 13), (128, 60), (8, 64), (17, 64)]
 # outside a solve the halves run one after the other on the calling thread;
 # inside a solve's worker block the second half runs on the worker
 SERIAL_AND_SPLIT = (contextlib.nullcontext, second_core)
@@ -369,6 +373,68 @@ class TestRadonTransform:
         size = matrix_bytes(blocks)
         assert peak <= 4.0 * size, f"peak {peak / size:.2f}x the matrix bytes"
         assert retained <= 1.1 * size, f"retained {retained / size:.2f}x the matrix bytes"
+
+    @pytest.mark.parametrize("where", SERIAL_AND_SPLIT, ids=["serial", "split"])
+    def test_assembly_keeps_no_earlier_angle_alive(self, monkeypatch, where):
+        # each angle's blocks go into the final arrays before its thread
+        # starts another: whenever an angle starts, at most four blocks (two
+        # per thread) are alive
+        angle_block = operators._angle_block
+        returned, alive = [], []
+
+        def watched(geometry, t):
+            alive.append(sum(ref() is not None for ref in returned))
+            blocks = angle_block(geometry, t)
+            returned.extend(weakref.ref(block) for block in blocks)
+            return blocks
+
+        monkeypatch.setattr(operators, "_angle_block", watched)
+        geom = gl.RadonGeometry(33, 20)
+        with where():
+            left, right = _radon_matrix(geom)
+        assert len(alive) == 20 and max(alive) <= 4, alive
+        assert_blocks_equal_global_assembly(left, right, geom)
+
+    @pytest.mark.parametrize("size,angles", CAPACITY_GEOMETRIES)
+    def test_capacities_bound_the_raw_entries_of_every_angle(self, monkeypatch, size, angles):
+        # the entries each angle gathers for each block before duplicates
+        # merge, counted on their way into the COO matrix
+        geom = gl.RadonGeometry(size, angles)
+        cut = size * size // 2
+        raw = []
+        coo_matrix = sparse.coo_matrix
+
+        def counted(arg, shape):
+            cols = arg[1][1]
+            raw.append((np.count_nonzero(cols < cut), np.count_nonzero(cols >= cut)))
+            return coo_matrix(arg, shape=shape)
+
+        monkeypatch.setattr(operators.sparse, "coo_matrix", counted)
+        for t in range(angles):
+            operators._angle_block(geom, t)
+        capacities = operators._block_capacities(geom)
+        assert capacities.shape == (angles, 2) and len(raw) == angles
+        assert np.all(np.array(raw) <= capacities), np.argwhere(np.array(raw) > capacities)
+
+    @pytest.mark.parametrize("where", SERIAL_AND_SPLIT, ids=["serial", "split"])
+    def test_capacity_one_entry_short_raises(self, monkeypatch, where):
+        # an exact capacity fills both blocks to the last slot; one entry
+        # less and the front would pass the back
+        geom = gl.RadonGeometry(16, 7)
+        left, right = _radon_matrix(geom)
+        exact = np.zeros((7, 2), dtype=np.int64)
+        exact[0] = left.nnz, right.nnz
+        monkeypatch.setattr(operators, "_block_capacities", lambda g: exact)
+        with where():
+            left, right = _radon_matrix(geom)
+        assert left.data.size + right.data.size == exact.sum()
+        assert_blocks_equal_global_assembly(left, right, geom)
+        for h in range(2):
+            short = exact.copy()
+            short[0, h] -= 1
+            monkeypatch.setattr(operators, "_block_capacities", lambda g: short)
+            with where(), pytest.raises(RuntimeError, match=f"block {h} outgrew its capacity"):
+                _radon_matrix(geom)
 
     def test_shape_validation(self):
         A = gl.RadonTransform(gl.RadonGeometry(8, 5))

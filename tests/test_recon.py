@@ -243,7 +243,7 @@ class TestDispatchAndSpec:
     @pytest.mark.parametrize("kwargs", [
         dict(kind="nett"), dict(kind="adjoint", tikhonov_weight=0.0),
         dict(kind="tikhonov", tikhonov_weight=math.inf), dict(kind="tikhonov", tikhonov_weight=math.nan),
-    ])
+    ], ids=["unknown-kind", "zero-weight", "infinite-weight", "nan-weight"])
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(gl.ConfigurationError):
             gl.ReconstructorSpec(**kwargs)
