@@ -4,17 +4,20 @@ Every operator is linear with an adjoint that is the exact transpose of the
 forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
 rounding error.  The Radon transform is a sparse matrix, assembled once per
 operator on two threads and held as two pixel-column blocks; each angle goes
-into the blocks' final arrays as it is built, so at most two angles' entries
-are alive beside them, and A and A* give the bytes of the one-matrix
-products.  The blur is a separable zero-padded
-convolution with symmetric taps (hence self-adjoint), built once per
-operator.
+into the blocks' final arrays as it is built, in one reused scratch
+workspace per thread, so at most two angles' entries are alive beside them.
+Those arrays sit on private anonymous memory maps, off the allocator's heap:
+capacity no angle reaches is never resident, and pages left past the final
+length are given back after the join.  A and A* give the bytes of the
+one-matrix products.  The blur is a separable zero-padded convolution with
+symmetric taps (hence self-adjoint), built once per operator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import numbers
 import threading
 from dataclasses import dataclass
@@ -97,45 +100,87 @@ class RadonGeometry:
         return np.arange(d) - (d - 1) / 2.0
 
 
-def _angle_block(geometry: RadonGeometry, t: int):
+class _AngleWork:
+    """Scratch for ``_angle_block`` at one geometry, reused angle after angle
+    by one thread: the sample points' fractions and floor corners, the
+    corners' masks and weights, and room for the four corners' (weight, ray,
+    pixel) entries, at most 4 per sample point."""
+
+    def __init__(self, geometry: RadonGeometry):
+        d = geometry.num_detectors
+        half_span = math.ceil(math.sqrt(2.0) * geometry.image_size / 2.0)
+        self.steps = np.arange(-half_span, half_span + 1, dtype=np.float64)
+        shape = (d, self.steps.size)
+        self.fx, self.fy, self.gx, self.gy, self.w = (np.empty(shape) for _ in range(5))
+        self.x0, self.y0, self.pixel, self.col = (np.empty(shape, dtype=np.int32) for _ in range(4))
+        # int32 indices, as the CSR matrix stores them: half the bytes to
+        # gather and sort during assembly
+        self.ray = np.repeat(np.arange(d, dtype=np.int32), shape[1]).reshape(shape)
+        # x0 + 0, x0 + 1, y0 + 0 and y0 + 1 on the grid; then one corner's mask
+        self.inside = [np.empty(shape, dtype=bool) for _ in range(4)]
+        self.ok, self.scratch = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.vals = np.empty(4 * self.w.size)
+        self.rows, self.cols = (np.empty(4 * self.w.size, dtype=np.int32) for _ in range(2))
+
+
+def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork | None = None):
     """The rays of angle ``t`` as CSR blocks of the pixels below ``n // 2``
     and of the rest.
 
-    A call holds only its own angle's (ray, pixel, weight) entries; ``tocsr``
-    orders and sums them as one global conversion would.
+    Every array the angle's entries pass through is in ``work`` (a fresh
+    ``_AngleWork`` if none is given), each computed by the same operations in
+    the same order as the plain expressions, so the bits do not depend on it.
+    Beside one index array per pixel corner, the call allocates only what
+    ``tocsr`` and the two column slices do, and the blocks it returns share
+    no memory with ``work``.  ``tocsr`` orders and sums the entries as one
+    global conversion would.
     """
+    if work is None:
+        work = _AngleWork(geometry)
     size = geometry.image_size
     d = geometry.num_detectors
     cut = size * size // 2
     center = (size - 1) / 2.0
     offsets = geometry.detector_offsets
-    half_span = math.ceil(math.sqrt(2.0) * size / 2.0)
-    steps = np.arange(-half_span, half_span + 1, dtype=np.float64)
-    # int32 indices, as the CSR matrix stores them: half the bytes to
-    # gather, concatenate and sort during assembly
-    ray = np.broadcast_to(np.arange(d, dtype=np.int32)[:, None], (d, steps.size))
+    steps = work.steps
+    fx, fy, x0, y0 = work.fx, work.fy, work.x0, work.y0
 
     theta = geometry.angles[t]
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    # sample points of all (detector, step) pairs for this angle
-    px = center + offsets[:, None] * cos_t - steps[None, :] * sin_t
-    py = center + offsets[:, None] * sin_t + steps[None, :] * cos_t
-    x0 = np.floor(px).astype(np.int32)
-    y0 = np.floor(py).astype(np.int32)
-    fx = px - x0
-    fy = py - y0
-    rows_parts, cols_parts, vals_parts = [], [], []
-    for dx, wx in ((0, 1.0 - fx), (1, fx)):
-        for dy, wy in ((0, 1.0 - fy), (1, fy)):
-            xc = x0 + dx
-            yc = y0 + dy
-            w = wx * wy
-            ok = (xc >= 0) & (xc < size) & (yc >= 0) & (yc < size) & (w > 0)
-            rows_parts.append(ray[ok])
-            cols_parts.append((yc[ok] * size + xc[ok]))
-            vals_parts.append(w[ok])
+    # sample points px, py of all (detector, step) pairs for this angle, their
+    # floors x0, y0 and fractions fx = px - x0, fy = py - y0, in place
+    np.subtract(center + offsets[:, None] * cos_t, steps[None, :] * sin_t, out=fx)
+    np.add(center + offsets[:, None] * sin_t, steps[None, :] * cos_t, out=fy)
+    np.floor(fx, out=x0, casting="unsafe")
+    np.floor(fy, out=y0, casting="unsafe")
+    np.subtract(fx, x0, out=fx)
+    np.subtract(fy, y0, out=fy)
+    np.subtract(1.0, fx, out=work.gx)
+    np.subtract(1.0, fy, out=work.gy)
+    # corner x0 + dx is on the grid where 0 <= x0 + dx < size; likewise y
+    for inside, corner, shift in zip(work.inside, (x0, x0, y0, y0), (0, 1, 0, 1)):
+        np.greater_equal(corner, -shift, out=inside)
+        np.less(corner, size - shift, out=work.scratch)
+        inside &= work.scratch
+    np.multiply(y0, size, out=work.pixel)
+    work.pixel += x0
+    taken = 0
+    for dx, wx in ((0, work.gx), (1, fx)):
+        for dy, wy in ((0, work.gy), (1, fy)):
+            np.multiply(wx, wy, out=work.w)
+            ok = np.greater(work.w, 0, out=work.ok)
+            ok &= work.inside[dx]
+            ok &= work.inside[2 + dy]
+            np.add(work.pixel, dy * size + dx, out=work.col)
+            where = np.flatnonzero(ok)
+            end = taken + where.size
+            for source, entries in ((work.w, work.vals), (work.ray, work.rows), (work.col, work.cols)):
+                # "clip" never moves these indices, and unlike "raise" it
+                # writes straight into ``out`` instead of through a copy
+                np.take(source.ravel(), where, out=entries[taken:end], mode="clip")
+            taken = end
     block = sparse.coo_matrix(
-        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
+        (work.vals[:taken], (work.rows[:taken], work.cols[:taken])),
         shape=(d, size * size),
     ).tocsr()
     return block[:, :cut], block[:, cut:]
@@ -182,26 +227,48 @@ def _block_capacities(geometry: RadonGeometry) -> np.ndarray:
     return np.stack(capacities, axis=1).astype(np.int64)
 
 
+# entries of the worker's run that ``_close_gap`` moves at a time
+_MOVE_CHUNK = 1 << 18
+
+
+def _private_map(count: int, dtype) -> np.ndarray:
+    """``count`` zeros of ``dtype`` on a private anonymous map of their own.
+
+    A page of it takes memory only once touched, and none of it sits on the
+    allocator's heap.  ``MAP_PRIVATE`` because Python maps ``fileno=-1`` as
+    ``MAP_SHARED``, which is shared memory: there ``MADV_DONTNEED`` drops
+    pages from the resident set without freeing them, and the process's peak
+    RSS would not show them.
+    """
+    dtype = np.dtype(dtype)
+    pages = mmap.mmap(-1, max(count * dtype.itemsize, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, dtype, count)
+
+
 def _radon_matrix(geometry: RadonGeometry):
     """Forward projection matrix as two CSR pixel-column blocks.
 
     The calling thread claims angles (``_angle_block``) from the first one up
     and, through ``fork_join``, the worker from the last one down, until the
     two meet; a worker that is slow or taken leaves the caller more of them.
-    Each angle's entries go into the final ``data`` and ``indices`` arrays of
-    each block as soon as they are built, so at most two angles' entries are
-    alive at a time, one per thread.  The arrays are allocated at a bound on
-    the entries (``_block_capacities``); the caller fills them from the front
-    and the worker from the back, and after the join the worker's run moves
-    down to follow the caller's and the arrays shrink to fit.  The blocks hold
-    the bytes of one global conversion, plus one ``indptr``, whichever thread
-    assembled each angle.
+    Each thread builds its angles in one ``_AngleWork`` of its own, allocated
+    when it starts and dropped at the join.  Each angle's entries go into the
+    final ``data`` and ``indices`` arrays of each block as soon as they are
+    built, so at most two angles' entries are alive at a time, one per
+    thread.  The arrays are allocated at a bound on the entries
+    (``_block_capacities``) on private anonymous maps (``_private_map``), so
+    capacity no thread reaches is never resident; the caller fills them from
+    the front and the worker from the back.  After the join ``_close_gap``
+    moves the worker's run down to follow the caller's and releases the pages
+    past the entries, and the blocks hold length-nnz views on the maps, which
+    are unmapped with the matrix.  The blocks hold the bytes of one global
+    conversion, plus one ``indptr``, whichever thread assembled each angle.
     """
     m, d = geometry.num_angles, geometry.num_detectors
     n = geometry.image_size ** 2
     capacity = [int(c) for c in _block_capacities(geometry).sum(axis=0)]
-    data = [np.empty(c) for c in capacity]
-    indices = [np.empty(c, dtype=np.int32) for c in capacity]
+    data = [_private_map(c, np.float64) for c in capacity]
+    indices = [_private_map(c, np.int32) for c in capacity]
     counts = np.empty((2, m * d), dtype=np.int64)  # entries per ray and block
     lock = threading.Lock()
     bounds = [0, geometry.num_angles]  # the angles no thread has claimed yet
@@ -224,6 +291,7 @@ def _radon_matrix(geometry: RadonGeometry):
             counts[h, t * d:(t + 1) * d] = np.diff(block.indptr)
 
     def assemble(up: bool):
+        work = _AngleWork(geometry)
         while True:
             with lock:
                 if bounds[0] == bounds[1]:
@@ -234,35 +302,61 @@ def _radon_matrix(geometry: RadonGeometry):
                 else:
                     bounds[1] -= 1
                     t = bounds[1]
-            place(t, up, _angle_block(geometry, t))
+            place(t, up, _angle_block(geometry, t, work))
 
     fork_join(lambda: assemble(True), lambda: assemble(False))
     blocks = []
     for h, width in enumerate((n // 2, n - n // 2)):
         # the worker stored its angles last to first from the end, so its
         # run already follows angle order
-        run = capacity[h] - back[h]
-        for part in (data[h], indices[h]):
-            part[front[h]:front[h] + run] = part[back[h]:]
-            part.resize(front[h] + run, refcheck=False)
+        parts = [_close_gap(part, front[h], back[h]) for part in (data[h], indices[h])]
         indptr = np.concatenate(([0], np.cumsum(counts[h])))
         # int32 indptr and indices, as a global conversion stores them
-        blocks.append(sparse.csr_matrix((data[h], indices[h], indptr), shape=(m * d, width)))
+        blocks.append(sparse.csr_matrix((*parts, indptr), shape=(m * d, width)))
     return tuple(blocks)
+
+
+def _close_gap(part: np.ndarray, front: int, back: int) -> np.ndarray:
+    """Move the run ``part[back:]`` of a ``_private_map`` array down to
+    follow ``part[:front]`` and return the entries up to its end, a view on
+    the map.
+
+    The run moves in chunks of ``_MOVE_CHUNK`` entries, low to high, so no
+    chunk overwrites a source still to move; each chunk's whole source pages
+    past the entries are released (``MADV_DONTNEED``) before the next chunk
+    touches its destination, and so is every page past the entries at the
+    end.  The view holds exactly the entries, so scipy keeps it instead of
+    copying a short slice of a longer array.
+    """
+    pages, step, page = part.base.obj, part.itemsize, mmap.PAGESIZE
+    run = part.size - back
+    kept = -(-(front + run) * step // page) * page  # the pages from here on hold no entry
+    for start in range(0, run, _MOVE_CHUNK):
+        stop = min(start + _MOVE_CHUNK, run)
+        part[front + start:front + stop] = part[back + start:back + stop]
+        lo = max(kept, (back + start) * step // page * page)
+        hi = (back + stop) * step // page * page
+        if lo < hi:
+            pages.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+    if kept < len(pages):
+        pages.madvise(mmap.MADV_DONTNEED, kept)
+    return np.frombuffer(pages, part.dtype, front + run)
 
 
 class RadonTransform(LinearOperator):
     """Discrete Radon transform via bilinear interpolation along rays.
 
     The matrix is held as two pixel-column blocks (``_radon_matrix``),
-    assembled inside ``second_core()`` with each angle written into the
-    blocks' final arrays as it is built: at most two angles' entries are alive
-    beside them, and the blocks hold the bytes of one global conversion.  A
-    runs two halves of the rays and A* the two blocks' transposes, one per
-    half of the pixels; ``fork_join`` hands the second half to the solve's
-    worker when one is free.  Every ray
-    and every pixel sums the same terms in the same order as ``M @ x`` or
-    ``M.T @ s`` on the one matrix, so the results are the same bytes.
+    assembled inside ``second_core()`` with each angle built in its thread's
+    one workspace and written into the blocks' final arrays: at most two
+    angles' entries are alive beside them, and the blocks hold the bytes of
+    one global conversion.  Their ``data`` and ``indices`` are views on
+    private anonymous maps, trimmed to the entries page by page, which are
+    unmapped with the operator.  A runs two halves of the rays and A* the two
+    blocks' transposes, one per half of the pixels; ``fork_join`` hands the
+    second half to the solve's worker when one is free.  Every ray and every
+    pixel sums the same terms in the same order as ``M @ x`` or ``M.T @ s``
+    on the one matrix, so the results are the same bytes.
     """
 
     def __init__(self, geometry: RadonGeometry):

@@ -49,7 +49,9 @@ class TestConfig:
                                         dict(sigma=0.0), dict(sigma=-0.1),
                                         dict(metric="euclidean"),
                                         dict(radius=math.inf), dict(radius=math.nan),
-                                        dict(sigma=math.inf), dict(sigma=math.nan)])
+                                        dict(sigma=math.inf), dict(sigma=math.nan)],
+                             ids=["zero-radius", "negative-radius", "zero-sigma", "negative-sigma", "unknown-metric",
+                                  "infinite-radius", "nan-radius", "infinite-sigma", "nan-sigma"])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(gl.ConfigurationError):
             gl.GraphConfig(**kwargs)

@@ -2,6 +2,9 @@
 
 import contextlib
 import math
+import mmap
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -85,14 +88,14 @@ def assembly_threads(monkeypatch, hold=None):
     elsewhere = threading.Event()
     angle_block = operators._angle_block
 
-    def recorded(geometry, t):
+    def recorded(geometry, t, *rest):
         thread = threading.get_ident()
         if thread != hold:
             elsewhere.set()
         elif thread not in threads:
             elsewhere.wait(timeout=10.0)
         threads.setdefault(thread, []).append(t)
-        return angle_block(geometry, t)
+        return angle_block(geometry, t, *rest)
 
     monkeypatch.setattr(operators, "_angle_block", recorded)
     return threads
@@ -374,6 +377,72 @@ class TestRadonTransform:
         assert peak <= 4.0 * size, f"peak {peak / size:.2f}x the matrix bytes"
         assert retained <= 1.1 * size, f"retained {retained / size:.2f}x the matrix bytes"
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm for the RSS baseline")
+    def test_consecutive_assemblies_peak_rss_stays_near_the_matrix(self):
+        # tracemalloc sees no memory map, so the peak resident set of a fresh
+        # process is the oracle here: nine operators built one after another,
+        # each dropped before the next, over the RSS right after the import.
+        # The peak is VmHWM, that of the process's own address space: Linux
+        # carries the peak of the address space it replaced at exec into
+        # ru_maxrss, which here would be this test process's.
+        script = """
+import os
+import graphlap as gl
+with open("/proc/self/statm") as f:
+    baseline = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+for _ in range(9):
+    A = gl.RadonTransform(gl.RadonGeometry(128, 60))
+    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (A._left, A._right))
+    del A
+with open("/proc/self/status") as f:
+    peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) * 1024
+print((peak - baseline) / size)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        ratio = float(proc.stdout)
+        assert ratio <= 1.7, f"peak RSS over the import's {ratio:.2f}x the matrix bytes"
+
+    @pytest.mark.parametrize("front,gap,run", [(5000, 0, 7000), (5000, 300, 7000), (5000, 4000, 2500),
+                                               (0, 9000, 7000), (3000, 2000, 0)])
+    def test_close_gap_moves_the_run_and_releases_the_tail(self, monkeypatch, front, gap, run):
+        # chunks of 1000 entries: a gap under a chunk overlaps each chunk's
+        # source and destination; released pages read as zeros again
+        monkeypatch.setattr(operators, "_MOVE_CHUNK", 1000)
+        for dtype in (np.float64, np.int32):
+            part = operators._private_map(front + gap + run, dtype)
+            part[:front] = np.arange(1, front + 1)
+            part[front + gap:] = -np.arange(1, run + 1)
+            closed = operators._close_gap(part, front, front + gap)
+            want = np.concatenate((np.arange(1, front + 1), -np.arange(1, run + 1))).astype(dtype)
+            assert closed.dtype == dtype and closed.tobytes() == want.tobytes()
+            assert np.shares_memory(closed, part)
+            per_page = mmap.PAGESIZE // part.itemsize
+            assert not part[-(-closed.size // per_page) * per_page:].any()
+
+    def test_reused_workspace_keeps_the_bytes(self):
+        # every angle through one workspace equals a fresh workspace per call
+        # and the global conversion's rows of that angle, cut at n // 2; no
+        # returned array shares memory with the workspace
+        for size, angles in ((33, 20), (64, 30)):
+            geom = gl.RadonGeometry(size, angles)
+            d, cut = geom.num_detectors, size * size // 2
+            want = global_coo_radon(geom)
+            work = operators._AngleWork(geom)
+            scratch = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+            scratch += work.inside
+            for t in range(angles):
+                reused = operators._angle_block(geom, t, work)
+                fresh = operators._angle_block(geom, t, operators._AngleWork(geom))
+                rows = want[t * d:(t + 1) * d]
+                for got, other, ref in zip(reused, fresh, (rows[:, :cut], rows[:, cut:])):
+                    for part in ("data", "indices", "indptr"):
+                        mine = getattr(got, part)
+                        assert mine.dtype == getattr(other, part).dtype == getattr(ref, part).dtype, part
+                        assert mine.tobytes() == getattr(other, part).tobytes() == getattr(ref, part).tobytes(), \
+                            (size, t, part)
+                        assert not any(np.shares_memory(mine, a) for a in scratch), (size, t, part)
+
     @pytest.mark.parametrize("where", SERIAL_AND_SPLIT, ids=["serial", "split"])
     def test_assembly_keeps_no_earlier_angle_alive(self, monkeypatch, where):
         # each angle's blocks go into the final arrays before its thread
@@ -382,9 +451,9 @@ class TestRadonTransform:
         angle_block = operators._angle_block
         returned, alive = [], []
 
-        def watched(geometry, t):
+        def watched(geometry, t, *rest):
             alive.append(sum(ref() is not None for ref in returned))
-            blocks = angle_block(geometry, t)
+            blocks = angle_block(geometry, t, *rest)
             returned.extend(weakref.ref(block) for block in blocks)
             return blocks
 
