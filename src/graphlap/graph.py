@@ -30,16 +30,18 @@ equal arguments it takes 15-22 us at -1 and -700, 300-330 us at -707.8,
 2,000-2,300 us where the result is subnormal (-720) and 115-360 us where it
 is 0 (numpy 2.4.6 on an AVX-512 Xeon, ``BENCH_exp_underflow.json``).  An
 image far from the [0, 1] scale sigma expects (the CT adjoint start has
-||u0|| ~ 1e5) sends most of its arguments t = -d^2 / sigma there.  So a band
-with many arguments below FAST_EXP_FLOOR is evaluated clamped: exp of
-max(t, FAST_EXP_FLOOR) over the whole band, 0 where t was below the floor,
-and plain ``exp`` again on the gathered few in (EXP_UNDERFLOW, FAST_EXP_FLOOR).
-``exp`` works elementwise and is exactly 0 from EXP_UNDERFLOW down, so every
-weight keeps the bits ``np.exp(t)`` gives it, and the constants decide only
-what runs fast.  One O(n) spread check per build,
-(max u - min u)^2 / sigma <= -FAST_EXP_FLOOR, proves that no argument leaves
-the fast range; such an image (deblur, the CT starts, late CT iterates) runs
-the plain loop with no added pass.
+||u0|| ~ 1e5) sends most of its arguments t = -d^2 / sigma there.  So each
+evaluating pass counts the arguments below FAST_EXP_FLOOR band by band, and
+while they are at least 1/CLAMP_SHARE of the band, evaluates it clamped: exp
+of max(t, FAST_EXP_FLOOR) over the whole band, 0 where t was below the floor,
+and plain ``exp`` again on the gathered few in (EXP_UNDERFLOW,
+FAST_EXP_FLOOR).  ``exp`` works elementwise and is exactly 0 from
+EXP_UNDERFLOW down, so every weight keeps the bits ``np.exp(t)`` gives it,
+and the constants decide only what runs fast.  The counting stops at the
+first band with fewer: an image within sigma's range (deblur, the CT starts,
+late CT iterates) pays for band 0's count, and one with a handful of low
+arguments also for np.exp's slow lanes on the handful, which cost less than
+masking or gathering them.
 """
 
 from __future__ import annotations
@@ -111,18 +113,6 @@ def _shifts(config: GraphConfig, height: int, width: int):
             dist = di + abs(dj) if config.metric == "manhattan" else max(di, abs(dj))
             if dist <= r:
                 yield dj, di * width + dj
-
-
-def _within_fast_exp(flat: np.ndarray, sigma: float) -> bool:
-    """True when no weight argument -(u(a) - u(b))^2 / sigma of this image can
-    fall below FAST_EXP_FLOOR.
-
-    Every difference is at most the spread max - min in magnitude, and
-    rounding is monotone, so the spread's argument bounds every pair's, each
-    computed by the same operations.  NaN or inf pixels fail the check.
-    """
-    spread = flat.max() - flat.min()
-    return bool(spread * spread / sigma <= -FAST_EXP_FLOOR)
 
 
 def _clamped_exp(t: np.ndarray, low: np.ndarray) -> None:
@@ -208,15 +198,9 @@ class SparseLaplacian:
         build image and each band's weights are evaluated from the difference
         already in hand, w = exp(d * d / -sigma) (dividing by -sigma rounds
         exactly like negating and then dividing by sigma); ``keep`` stores
-        them, otherwise one scratch buffer serves every band.
-
-        Unless the spread check clears the image, each band counts its
-        arguments below FAST_EXP_FLOOR and, while they are at least
-        1/CLAMP_SHARE of it, is evaluated by ``_clamped_exp``, with the bits
-        np.exp gives.  The counting stops at the first band with fewer: an
-        image with a handful of low arguments (a late CT iterate) pays for one
-        band's count and np.exp's slow lanes on the handful, which cost less
-        than masking or gathering them.
+        them, otherwise one scratch buffer serves every band.  Bands with
+        many underflowing arguments go through ``_clamped_exp`` (module
+        docstring).
         """
         height, width = x.shape
         n = height * width
@@ -224,7 +208,7 @@ class SparseLaplacian:
         out = np.zeros(n, dtype=np.float64)
         diff = np.empty(n, dtype=np.float64)
         scratch = np.empty(n, dtype=np.float64) if bands is None and not keep else None
-        clamp = bands is None and not _within_fast_exp(flat, self.config.sigma)
+        clamp = bands is None
         kept = []
         for i, (dj, s) in enumerate(_shifts(self.config, height, width)):
             m = n - s

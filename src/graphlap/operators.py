@@ -2,15 +2,10 @@
 
 Every operator is linear with an adjoint that is the exact transpose of the
 forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
-rounding error.  The Radon transform is a sparse matrix, assembled once per
-operator on two threads and held as two pixel-column blocks; each angle goes
-into the blocks' final arrays as it is built, in one reused scratch
-workspace per thread, so at most two angles' entries are alive beside them.
-Those arrays sit on private anonymous memory maps, off the allocator's heap:
-capacity no angle reaches is never resident, and pages left past the final
-length are given back after the join.  A and A* give the bytes of the
-one-matrix products.  The blur is a separable zero-padded convolution with
-symmetric taps (hence self-adjoint), built once per operator.
+rounding error.  The Radon transform is a sparse matrix, and its A and A*
+give the bytes of the products with the one matrix of a global assembly.
+The blur is a separable zero-padded convolution with symmetric taps (hence
+self-adjoint), built once per operator.
 """
 
 from __future__ import annotations
@@ -99,6 +94,17 @@ class RadonGeometry:
         d = self.num_detectors
         return np.arange(d) - (d - 1) / 2.0
 
+    @property
+    def center(self) -> float:
+        """Both coordinates of the grid center."""
+        return (self.image_size - 1) / 2.0
+
+    @property
+    def half_span(self) -> int:
+        """Steps each way from a ray's center: the samples run from
+        -half_span to half_span, half the image diagonal or more."""
+        return math.ceil(math.sqrt(2.0) * self.image_size / 2.0)
+
 
 class _AngleWork:
     """Scratch for ``_angle_block`` at one geometry, reused angle after angle
@@ -108,7 +114,7 @@ class _AngleWork:
 
     def __init__(self, geometry: RadonGeometry):
         d = geometry.num_detectors
-        half_span = math.ceil(math.sqrt(2.0) * geometry.image_size / 2.0)
+        half_span = geometry.half_span
         self.steps = np.arange(-half_span, half_span + 1, dtype=np.float64)
         shape = (d, self.steps.size)
         self.fx, self.fy, self.gx, self.gy, self.w = (np.empty(shape) for _ in range(5))
@@ -123,24 +129,21 @@ class _AngleWork:
         self.rows, self.cols = (np.empty(4 * self.w.size, dtype=np.int32) for _ in range(2))
 
 
-def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork | None = None):
+def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
     """The rays of angle ``t`` as CSR blocks of the pixels below ``n // 2``
     and of the rest.
 
-    Every array the angle's entries pass through is in ``work`` (a fresh
-    ``_AngleWork`` if none is given), each computed by the same operations in
-    the same order as the plain expressions, so the bits do not depend on it.
-    Beside one index array per pixel corner, the call allocates only what
-    ``tocsr`` and the two column slices do, and the blocks it returns share
-    no memory with ``work``.  ``tocsr`` orders and sums the entries as one
-    global conversion would.
+    Every array the angle's entries pass through is in ``work``, each
+    computed by the same operations in the same order as the plain
+    expressions, so the bits do not depend on it.  Beside one index array per
+    pixel corner, the call allocates only what ``tocsr`` and the two column
+    slices do, and the blocks it returns share no memory with ``work``.
+    ``tocsr`` orders and sums the entries as one global conversion would.
     """
-    if work is None:
-        work = _AngleWork(geometry)
     size = geometry.image_size
     d = geometry.num_detectors
     cut = size * size // 2
-    center = (size - 1) / 2.0
+    center = geometry.center
     offsets = geometry.detector_offsets
     steps = work.steps
     fx, fy, x0, y0 = work.fx, work.fy, work.x0, work.y0
@@ -201,8 +204,7 @@ def _block_capacities(geometry: RadonGeometry) -> np.ndarray:
     """
     size = geometry.image_size
     cut = size * size // 2
-    center = (size - 1) / 2.0
-    half_span = math.ceil(math.sqrt(2.0) * size / 2.0)
+    center, half_span = geometry.center, geometry.half_span
     theta = geometry.angles[:, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     offsets = geometry.detector_offsets[None, :]
@@ -346,17 +348,12 @@ def _close_gap(part: np.ndarray, front: int, back: int) -> np.ndarray:
 class RadonTransform(LinearOperator):
     """Discrete Radon transform via bilinear interpolation along rays.
 
-    The matrix is held as two pixel-column blocks (``_radon_matrix``),
-    assembled inside ``second_core()`` with each angle built in its thread's
-    one workspace and written into the blocks' final arrays: at most two
-    angles' entries are alive beside them, and the blocks hold the bytes of
-    one global conversion.  Their ``data`` and ``indices`` are views on
-    private anonymous maps, trimmed to the entries page by page, which are
-    unmapped with the operator.  A runs two halves of the rays and A* the two
-    blocks' transposes, one per half of the pixels; ``fork_join`` hands the
-    second half to the solve's worker when one is free.  Every ray and every
-    pixel sums the same terms in the same order as ``M @ x`` or ``M.T @ s``
-    on the one matrix, so the results are the same bytes.
+    The matrix M is held as two pixel-column blocks (``_radon_matrix``).  A
+    runs two halves of the rays and A* the two blocks' transposes, one per
+    half of the pixels; ``fork_join`` hands the second half to the solve's
+    worker when one is free.  Every ray and every pixel sums the same terms
+    in the same order as ``M @ x`` or ``M.T @ s``, so the results are the
+    same bytes.
     """
 
     def __init__(self, geometry: RadonGeometry):

@@ -104,7 +104,14 @@ class TestAlgebra:
         a, b = pair
         assert gl.dot(a, b) == gl.dot(b, a)
 
-    @given(image_pairs())
+    # Drawn pairs are those whose dot is 0 or normal.  Below the smallest
+    # normal every product rounds to a multiple of 2^-1074, so a sum of a few
+    # can exceed ||a|| ||b|| by more than any relative slack (a = b =
+    # [[3.5e-162, 4.3e-162]] gives 3.5e-323 against 3e-323); from the smallest
+    # normal up, that absolute error is below 1e-14 of the result.  The
+    # single-entry examples are one correctly rounded product, which the
+    # slack covers even where it is subnormal.
+    @given(image_pairs().filter(lambda pair: not 0.0 < abs(gl.dot(*pair)) < np.finfo(float).tiny))
     @example((gl.ImageGrid([[1.0]]), gl.ImageGrid([[1.1125369292536007e-308]])))
     @example((gl.ImageGrid([[3e-158]]), gl.ImageGrid([[7e-159]])))
     def test_cauchy_schwarz(self, pair):

@@ -479,8 +479,9 @@ print((peak - baseline) / size)
             return coo_matrix(arg, shape=shape)
 
         monkeypatch.setattr(operators.sparse, "coo_matrix", counted)
+        work = operators._AngleWork(geom)
         for t in range(angles):
-            operators._angle_block(geom, t)
+            operators._angle_block(geom, t, work)
         capacities = operators._block_capacities(geom)
         assert capacities.shape == (angles, 2) and len(raw) == angles
         assert np.all(np.array(raw) <= capacities), np.argwhere(np.array(raw) > capacities)

@@ -43,7 +43,9 @@ class TestParams:
         dict(max_iter=-1), dict(graph_update_period=0),
         dict(nu0=math.nan), dict(nu1=math.nan), dict(wp=math.nan), dict(eta1=math.inf),
         dict(tau=math.inf), dict(max_iter=2.5), dict(graph_update_period=1.5),
-    ])
+    ], ids=["tau-one", "tau-below-one", "zero-eta0", "negative-eta1", "negative-nu0", "negative-nu1", "zero-nu2",
+            "negative-wp", "negative-max-iter", "zero-update-period", "nan-nu0", "nan-nu1", "nan-wp",
+            "infinite-eta1", "infinite-tau", "fractional-max-iter", "fractional-update-period"])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(gl.ConfigurationError):
             gl.SolverParams(**kwargs)
@@ -511,7 +513,7 @@ class TestDeterminism:
         results = []
         for name in ("clamped", "plain"):
             if name == "plain":
-                monkeypatch.setattr(graph, "_within_fast_exp", lambda flat, sigma: True)
+                monkeypatch.setattr(graph, "CLAMP_SHARE", 0)
             clamped.clear()
             res = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(), truth=truth)
             write_trace_csv(res.trace, tmp_path / f"{name}.csv")
