@@ -29,7 +29,7 @@ from .grid import ImageGrid, format_cell, write_csv, write_pgm, write_table
 from .metrics import SSIM_WINDOW, evaluate
 from .operators import BlurKernel, GaussianBlur, LinearOperator, RadonGeometry, RadonTransform
 from .phantoms import NoiseSpec, add_noise, shepp_logan
-from .recon import PSI_KINDS, ReconstructorSpec
+from .recon import PROJECTION_PSI, PSI_KINDS, ReconstructorSpec
 from .solver import SolverParams, solve, write_trace_csv
 
 PROBLEMS = ("ct", "deblur", "laplacian_demo")
@@ -122,7 +122,7 @@ def parse_config(argv) -> ExperimentConfig:
     if problem == "laplacian_demo":
         settings = {**DEMO_GRAPH, **settings}
     config = ExperimentConfig(**settings)
-    if config.problem == "deblur" and config.psi in ("fbp", "tv"):
+    if config.problem == "deblur" and config.psi in PROJECTION_PSI:
         raise ConfigurationError(f"psi {config.psi!r} needs projection data; use adjoint or tikhonov for deblur")
     if config.problem != "laplacian_demo" and config.size < SSIM_WINDOW:
         raise ConfigurationError(f"size must be >= {SSIM_WINDOW} for {config.problem}, got {config.size}: "

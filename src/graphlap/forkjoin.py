@@ -1,5 +1,5 @@
 """One worker thread per solve or Radon assembly, and the one fork-join that
-hands it work.
+hands it work.  Which thread runs what is told here and nowhere else.
 
 Every ``solve`` opens ``second_core()`` for its whole run, and so does every
 ``RadonTransform`` for its matrix assembly.  Inside it,
@@ -7,11 +7,20 @@ Every ``solve`` opens ``second_core()`` for its whole run, and so does every
 calling thread, waits for both and returns both results.  While a fork is
 out the worker is taken, so a fork made inside either branch runs its two
 branches one after the other on its own thread: the solver's loop forks the
-graph term, and the A and A* halves forked inside that loop stay on the
-calling thread.  A ``second_core()`` block opened where a worker is already
-open uses that worker, and one opened inside a fork's branch opens none, so
-there is never more than one worker per caller.  Outside ``second_core()``
-every fork runs serially, ``here`` first.
+graph term onto the worker, for every operator, and the A and A* halves
+forked inside that loop stay on the calling thread; outside the loop (the
+initializer, the norm estimate) the Radon transform's A and A* give the
+worker half of each.  A ``second_core()`` block opened where a worker is
+already open uses that worker, and one opened inside a fork's branch opens
+none, so there is never more than one worker per caller.  Outside
+``second_core()`` every fork runs serially, ``here`` first.  Scipy's sparse
+kernels, ndimage's filters and numpy's ufuncs all release the GIL, so both
+threads make progress.
+
+The worker lives as long as its block rather than one thread per fork:
+glibc gives a thread started while the last one is still exiting a malloc
+arena of its own, so a solve that reuses its graph could hold a second set
+of bands there.
 
 ``there`` runs in a copy of the caller's context, so ``np.errstate`` applies
 to it too.  The fork joins before it returns or raises: an exception from

@@ -30,13 +30,9 @@ class LinearOperator:
     """Matrix-free linear map with fixed domain and range shapes.
 
     A solve reaches the forward model only through ``apply``, ``adjoint`` and
-    ``norm_estimate``.  Every solve runs in one worker thread's scope
-    (``forkjoin.second_core``): the loop evaluates the graph term on the
-    worker beside A and A*, and an operator may hand half of its own work to
-    the worker outside the loop through ``forkjoin.fork_join``, as the Radon
-    transform does; it also opens a worker of its own to assemble its matrix.
-    Scipy's sparse kernels, ndimage's filters and numpy's ufuncs all release
-    the GIL, so both threads make progress.
+    ``norm_estimate``.  An operator may hand half of its own work to the
+    solve's worker through ``forkjoin.fork_join``, as the Radon transform
+    does; ``graphlap.forkjoin`` says which thread runs what.
     """
 
     domain_shape: tuple[int, int]
@@ -105,6 +101,11 @@ class RadonGeometry:
         -half_span to half_span, half the image diagonal or more."""
         return math.ceil(math.sqrt(2.0) * self.image_size / 2.0)
 
+    @property
+    def cut(self) -> int:
+        """Pixels of the left column block, the rest are the right one's."""
+        return self.image_size ** 2 // 2
+
 
 class _AngleWork:
     """Scratch for ``_angle_block`` at one geometry, reused angle after angle
@@ -130,8 +131,8 @@ class _AngleWork:
 
 
 def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
-    """The rays of angle ``t`` as CSR blocks of the pixels below ``n // 2``
-    and of the rest.
+    """The rays of angle ``t`` as CSR blocks of the pixels below
+    ``geometry.cut`` and of the rest.
 
     Every array the angle's entries pass through is in ``work``, each
     computed by the same operations in the same order as the plain
@@ -142,7 +143,7 @@ def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
     """
     size = geometry.image_size
     d = geometry.num_detectors
-    cut = size * size // 2
+    cut = geometry.cut
     center = geometry.center
     offsets = geometry.detector_offsets
     steps = work.steps
@@ -195,38 +196,19 @@ def _block_capacities(geometry: RadonGeometry) -> np.ndarray:
 
     A sample point (px, py) reaches the pixels (x0 + {0, 1}, y0 + {0, 1}) of
     its floor (x0, y0): at most 4 entries, and merging duplicates only lowers
-    that.  With E the image side and cut = E^2 // 2, it can reach a left-block
-    pixel only if px is in [-1, E) and py in [-1, (cut - 1) // E + 1), and a
-    right-block one only if px is in [-1, E) and py in [cut // E - 1, E).
-    Along a ray each condition holds on an interval of steps.  The slabs are
-    widened by 1e-6 pixel and the intervals by one step at each end, so no
-    rounding of a sample point takes it outside the count.
+    that.  With E the image side, it can reach a left-block pixel only inside
+    the rectangle [-1, E) x [-1, (cut - 1) // E + 1), and a right-block one
+    only inside [-1, E) x [cut // E - 1, E); call it w by h.  A ray's
+    unit-spaced samples put at most chord + 1 of their points in it, and one
+    more at each end for rounding, so the d rays add 3 d to their chords.
+    The chord of a convex set is concave in the ray offset, and the rays are
+    parallel and unit-spaced, so at every angle their chords sum to at most
+    area + diagonal: each angle gets 4 ceil(w h + hypot(w, h) + 3 d).
     """
-    size = geometry.image_size
-    cut = size * size // 2
-    center, half_span = geometry.center, geometry.half_span
-    theta = geometry.angles[:, None]
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    offsets = geometry.detector_offsets[None, :]
-
-    def steps_within(start, slope, lo, hi):
-        # the steps k with lo <= start + k * slope < hi, every ray at once
-        lo, hi = lo - 1e-6, hi + 1e-6
-        with np.errstate(divide="ignore", invalid="ignore"):
-            at_lo, at_hi = (lo - start) / slope, (hi - start) / slope
-        flat = np.where((lo <= start) & (start < hi), np.inf, -np.inf)
-        first = np.where(slope > 0, at_lo, np.where(slope < 0, at_hi, -flat))
-        last = np.where(slope > 0, at_hi, np.where(slope < 0, at_lo, flat))
-        return first, last
-
-    x_first, x_last = steps_within(center + offsets * cos_t, -sin_t, -1, size)
-    capacities = []
-    for lo, hi in ((-1, (cut - 1) // size + 1), (cut // size - 1, size)):
-        y_first, y_last = steps_within(center + offsets * sin_t, cos_t, lo, hi)
-        first = np.maximum(np.ceil(np.maximum(x_first, y_first)) - 1, -half_span)
-        last = np.minimum(np.floor(np.minimum(x_last, y_last)) + 1, half_span)
-        capacities.append(4 * np.maximum(last - first + 1, 0).sum(axis=1))
-    return np.stack(capacities, axis=1).astype(np.int64)
+    size, cut, d = geometry.image_size, geometry.cut, geometry.num_detectors
+    w, heights = size + 1, ((cut - 1) // size + 2, size - cut // size + 1)
+    bounds = [4 * math.ceil(w * h + math.hypot(w, h) + 3 * d) for h in heights]
+    return np.full((geometry.num_angles, 2), bounds, dtype=np.int64)
 
 
 # entries of the worker's run that ``_close_gap`` moves at a time
@@ -257,8 +239,9 @@ def _radon_matrix(geometry: RadonGeometry):
     when it starts and dropped at the join.  Each angle's entries go into the
     final ``data`` and ``indices`` arrays of each block as soon as they are
     built, so at most two angles' entries are alive at a time, one per
-    thread.  The arrays are allocated at a bound on the entries
-    (``_block_capacities``) on private anonymous maps (``_private_map``), so
+    thread.  The arrays are allocated at a bound on the entries that the
+    geometry alone gives, one closed form per block and angle
+    (``_block_capacities``), on private anonymous maps (``_private_map``), so
     capacity no thread reaches is never resident; the caller fills them from
     the front and the worker from the back.  After the join ``_close_gap``
     moves the worker's run down to follow the caller's and releases the pages
@@ -266,7 +249,7 @@ def _radon_matrix(geometry: RadonGeometry):
     are unmapped with the matrix.  The blocks hold the bytes of one global
     conversion, plus one ``indptr``, whichever thread assembled each angle.
     """
-    m, d = geometry.num_angles, geometry.num_detectors
+    m, d, cut = geometry.num_angles, geometry.num_detectors, geometry.cut
     n = geometry.image_size ** 2
     capacity = [int(c) for c in _block_capacities(geometry).sum(axis=0)]
     data = [_private_map(c, np.float64) for c in capacity]
@@ -308,7 +291,7 @@ def _radon_matrix(geometry: RadonGeometry):
 
     fork_join(lambda: assemble(True), lambda: assemble(False))
     blocks = []
-    for h, width in enumerate((n // 2, n - n // 2)):
+    for h, width in enumerate((cut, n - cut)):
         # the worker stored its angles last to first from the end, so its
         # run already follows angle order
         parts = [_close_gap(part, front[h], back[h]) for part in (data[h], indices[h])]
@@ -442,9 +425,7 @@ class GaussianBlur(LinearOperator):
         self._check_domain(u)
         return ImageGrid(self._correlate(u.values))
 
-    def adjoint(self, s: ImageGrid) -> ImageGrid:
-        self._check_domain(s)
-        return ImageGrid(self._correlate(s.values))
+    adjoint = apply
 
     @functools.cached_property
     def norm_estimate(self) -> NormEstimate:

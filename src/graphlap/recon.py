@@ -20,6 +20,8 @@ from .grid import ImageGrid, Sinogram, axpy, dot, norm
 from .operators import LinearOperator, RadonTransform
 
 PSI_KINDS = ("adjoint", "fbp", "tikhonov", "tv")
+# the initializers that filter and back-project projection data
+PROJECTION_PSI = ("fbp", "tv")
 
 # the conjugate-gradient stop of the Tikhonov start and the TV weight of the TV start
 CG_TOL = 1e-8
@@ -191,13 +193,14 @@ def psi_tv(A: RadonTransform, v: Sinogram) -> ImageGrid:
 
 
 def initial_reconstruction(A: LinearOperator, v, spec: ReconstructorSpec) -> ImageGrid:
-    """Dispatch on ``spec.kind``; adjoint is A* v, fbp/tv need a Radon operator."""
+    """Dispatch on ``spec.kind``; adjoint is A* v, and the ``PROJECTION_PSI``
+    kinds need a Radon operator."""
+    if spec.kind in PROJECTION_PSI and not isinstance(A, RadonTransform):
+        raise ConfigurationError(f"psi kind {spec.kind!r} needs a Radon operator, got {type(A).__name__}")
     if spec.kind == "adjoint":
         return A.adjoint(v)
     if spec.kind == "tikhonov":
         return psi_tikhonov(A, v, spec)
-    if not isinstance(A, RadonTransform):
-        raise ConfigurationError(f"psi kind {spec.kind!r} needs a Radon operator, got {type(A).__name__}")
     if spec.kind == "fbp":
         return psi_fbp(A, v)
     return psi_tv(A, v)

@@ -9,8 +9,8 @@ where Delta_{u_k} is the graph Laplacian rebuilt from the current iterate
 On a rebuild step Delta_{u_k} u_k comes from one pass over the weight bands,
 which are stored only when the graph will be reused (period > 1); the old
 graph is released before the new one is evaluated.
-The graph term runs on the solve's worker thread beside A u_k - v and
-A* r_k, with the same bytes as a serial evaluation (``graphlap.forkjoin``).
+The graph term is forked beside A u_k - v and A* r_k, with the same bytes
+as a serial evaluation; ``graphlap.forkjoin`` says which thread runs what.
 Both step sizes adapt to the residual r_k = A u_k - v:
 
     alpha_k = min(eta0 ||r||^2 / ||A* r||^2, eta1)
