@@ -109,25 +109,24 @@ class RadonGeometry:
 
 class _AngleWork:
     """Scratch for ``_angle_block`` at one geometry, reused angle after angle
-    by one thread: the sample points' fractions and floor corners, the
-    corners' masks and weights, and room for the four corners' (weight, ray,
-    pixel) entries, at most 4 per sample point."""
+    by one thread: the sample points' fractions and floor corners, and a
+    weight, pixel and mask slot per (ray, corner, step), laid out ray by ray
+    (``_angle_block`` says why)."""
 
     def __init__(self, geometry: RadonGeometry):
         d = geometry.num_detectors
         half_span = geometry.half_span
         self.steps = np.arange(-half_span, half_span + 1, dtype=np.float64)
         shape = (d, self.steps.size)
-        self.fx, self.fy, self.gx, self.gy, self.w = (np.empty(shape) for _ in range(5))
-        self.x0, self.y0, self.pixel, self.col = (np.empty(shape, dtype=np.int32) for _ in range(4))
-        # int32 indices, as the CSR matrix stores them: half the bytes to
-        # gather and sort during assembly
-        self.ray = np.repeat(np.arange(d, dtype=np.int32), shape[1]).reshape(shape)
-        # x0 + 0, x0 + 1, y0 + 0 and y0 + 1 on the grid; then one corner's mask
+        self.fx, self.fy, self.gx, self.gy = (np.empty(shape) for _ in range(4))
+        self.x0, self.y0, self.pixel = (np.empty(shape, dtype=np.int32) for _ in range(3))
+        # x0 + 0, x0 + 1, y0 + 0 and y0 + 1 on the grid
         self.inside = [np.empty(shape, dtype=bool) for _ in range(4)]
-        self.ok, self.scratch = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-        self.vals = np.empty(4 * self.w.size)
-        self.rows, self.cols = (np.empty(4 * self.w.size, dtype=np.int32) for _ in range(2))
+        self.scratch = np.empty(shape, dtype=bool)
+        slots = (d, 4, self.steps.size)
+        # int32 pixels, as the CSR matrix stores them: half the bytes to
+        # gather and sort during assembly
+        self.w, self.col, self.ok = np.empty(slots), np.empty(slots, dtype=np.int32), np.empty(slots, dtype=bool)
 
 
 def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
@@ -136,10 +135,14 @@ def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
 
     Every array the angle's entries pass through is in ``work``, each
     computed by the same operations in the same order as the plain
-    expressions, so the bits do not depend on it.  Beside one index array per
-    pixel corner, the call allocates only what ``tocsr`` and the two column
-    slices do, and the blocks it returns share no memory with ``work``.
-    ``tocsr`` orders and sums the entries as one global conversion would.
+    expressions, so the bits do not depend on it.  Each corner writes its
+    own slot of each ray, so the masked entries come out ray by ray, then
+    corner by corner, then step by step.  ``sum_duplicates`` adds a pixel's
+    entries in the order its sort leaves them, so this order pins the bytes:
+    it is the one in which a global COO-to-CSR conversion hands each row to
+    the same sort and sum.  Beside the masked entries and the per-ray
+    counts, the call allocates only what the sort and the two column slices
+    do, and the blocks it returns share no memory with ``work``.
     """
     size = geometry.image_size
     d = geometry.num_detectors
@@ -168,25 +171,17 @@ def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
         inside &= work.scratch
     np.multiply(y0, size, out=work.pixel)
     work.pixel += x0
-    taken = 0
-    for dx, wx in ((0, work.gx), (1, fx)):
-        for dy, wy in ((0, work.gy), (1, fy)):
-            np.multiply(wx, wy, out=work.w)
-            ok = np.greater(work.w, 0, out=work.ok)
-            ok &= work.inside[dx]
-            ok &= work.inside[2 + dy]
-            np.add(work.pixel, dy * size + dx, out=work.col)
-            where = np.flatnonzero(ok)
-            end = taken + where.size
-            for source, entries in ((work.w, work.vals), (work.ray, work.rows), (work.col, work.cols)):
-                # "clip" never moves these indices, and unlike "raise" it
-                # writes straight into ``out`` instead of through a copy
-                np.take(source.ravel(), where, out=entries[taken:end], mode="clip")
-            taken = end
-    block = sparse.coo_matrix(
-        (work.vals[:taken], (work.rows[:taken], work.cols[:taken])),
-        shape=(d, size * size),
-    ).tocsr()
+    corners = [(dx, wx, dy, wy) for dx, wx in ((0, work.gx), (1, fx)) for dy, wy in ((0, work.gy), (1, fy))]
+    for c, (dx, wx, dy, wy) in enumerate(corners):
+        w, ok = work.w[:, c], work.ok[:, c]
+        np.multiply(wx, wy, out=w)
+        np.greater(w, 0, out=ok)
+        ok &= work.inside[dx]
+        ok &= work.inside[2 + dy]
+        np.add(work.pixel, dy * size + dx, out=work.col[:, c])
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(work.ok, axis=(1, 2)))))
+    block = sparse.csr_matrix((work.w[work.ok], work.col[work.ok], indptr), shape=(d, size * size))
+    block.sum_duplicates()
     return block[:, :cut], block[:, cut:]
 
 
@@ -246,8 +241,10 @@ def _radon_matrix(geometry: RadonGeometry):
     the front and the worker from the back.  After the join ``_close_gap``
     moves the worker's run down to follow the caller's and releases the pages
     past the entries, and the blocks hold length-nnz views on the maps, which
-    are unmapped with the matrix.  The blocks hold the bytes of one global
-    conversion, plus one ``indptr``, whichever thread assembled each angle.
+    are unmapped with the matrix.  Each angle's entries reach the sort ray by
+    ray, in the order one global conversion gives it, so the blocks hold
+    that conversion's bytes, plus one ``indptr``, whichever thread assembled
+    each angle.
     """
     m, d, cut = geometry.num_angles, geometry.num_detectors, geometry.cut
     n = geometry.image_size ** 2

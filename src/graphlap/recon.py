@@ -166,10 +166,11 @@ def tv_prox(b: ImageGrid, weight: float) -> ImageGrid:
     """
     step = 0.25
     bf = b.values
+    target = bf / weight
     px = np.zeros_like(bf)
     py = np.zeros_like(bf)
     for _ in range(200):
-        g = _divergence(px, py) - bf / weight
+        g = _divergence(px, py) - target
         gx, gy = _forward_gradient(g)
         denom = 1.0 + step * np.sqrt(gx * gx + gy * gy)
         px_next = (px + step * gx) / denom

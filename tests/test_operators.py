@@ -424,7 +424,7 @@ print((peak - baseline) / size)
         # every angle through one workspace equals a fresh workspace per call
         # and the global conversion's rows of that angle, cut at n // 2; no
         # returned array shares memory with the workspace
-        for size, angles in ((33, 20), (64, 30)):
+        for size, angles in ((33, 20), (64, 30), (128, 60)):
             geom = gl.RadonGeometry(size, angles)
             d, cut = geom.num_detectors, size * size // 2
             want = global_coo_radon(geom)
@@ -467,18 +467,19 @@ print((peak - baseline) / size)
     @pytest.mark.parametrize("size,angles", CAPACITY_GEOMETRIES)
     def test_capacities_bound_the_raw_entries_of_every_angle(self, monkeypatch, size, angles):
         # the entries each angle gathers for each block before duplicates
-        # merge, counted on their way into the COO matrix
+        # merge, counted on their way into the angle's (d, E^2) CSR matrix
         geom = gl.RadonGeometry(size, angles)
         cut = size * size // 2
         raw = []
-        coo_matrix = sparse.coo_matrix
+        csr_matrix = sparse.csr_matrix
 
         def counted(arg, shape):
-            cols = arg[1][1]
-            raw.append((np.count_nonzero(cols < cut), np.count_nonzero(cols >= cut)))
-            return coo_matrix(arg, shape=shape)
+            if shape == (geom.num_detectors, size * size):
+                cols = arg[1]
+                raw.append((np.count_nonzero(cols < cut), np.count_nonzero(cols >= cut)))
+            return csr_matrix(arg, shape=shape)
 
-        monkeypatch.setattr(operators.sparse, "coo_matrix", counted)
+        monkeypatch.setattr(operators.sparse, "csr_matrix", counted)
         work = operators._AngleWork(geom)
         for t in range(angles):
             operators._angle_block(geom, t, work)
