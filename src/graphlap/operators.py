@@ -46,8 +46,10 @@ class LinearOperator:
 
     @functools.cached_property
     def norm_estimate(self) -> NormEstimate:
-        """||A||, estimated once per operator by power iteration; the fixed
-        seed makes identical runs estimate identical norms."""
+        """||A||, estimated once per operator by Lanczos steps on A* A until
+        the top Ritz pair's eigen-residual is at most 1e-8 of its value
+        (``estimate_operator_norm``); the fixed seed makes identical runs
+        estimate identical norms."""
         return estimate_operator_norm(self)
 
     def _check_domain(self, u):
@@ -453,8 +455,8 @@ class ScaledIdentity(LinearOperator):
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """An operator norm: a power-iteration estimate, which approaches from
-    below, or an exact value (``iterations=0``)."""
+    """An operator norm: a Lanczos estimate, which approaches from below, or
+    an exact value (``iterations=0``).  ``iterations`` counts A* A products."""
 
     value: float
     converged: bool
@@ -462,29 +464,37 @@ class NormEstimate:
 
 
 def estimate_operator_norm(A: LinearOperator) -> NormEstimate:
-    """Estimate ||A|| by at most 100 steps of power iteration on A* A from a
-    random start drawn with seed 0.
+    """Estimate ||A|| by at most 100 Lanczos steps on A* A from a random
+    start drawn with seed 0.
 
-    Each step takes a unit vector x to z = A* A x and returns sqrt(||z||).  It
-    stops once x is an eigenvector to within 1e-8: the Rayleigh residual
-    ||z - lam2 x|| is at most 1e-8 lam2, with lam2 = <x, z>.  The change of
-    the estimate is no such test: near-degenerate top singular values barely
-    move it while x is still far from the top singular vector.  Power
-    iteration approaches the top singular value from below, so callers that
-    need an upper bound should multiply by a small safety factor.  If the
-    residual test never passes the last estimate is returned with
-    ``converged=False``.
+    Step k takes one product A* A q_k and extends the tridiagonal T_k by
+    alpha_k = <q_k, A* A q_k> and beta_k, the norm of what the three-term
+    recurrence leaves.  The top Ritz pair (theta, s) of T_k has the
+    eigen-residual |beta_k s_k|: the run stops once that is at most 1e-8
+    theta, or once beta_k = 0, and returns sqrt(theta).  The change of the
+    estimate is no such test: near-degenerate top singular values barely
+    move it while the Ritz vector is still far from the top singular vector.
+    There is no reorthogonalization: lost orthogonality only adds copies of
+    Ritz values that have converged, so the run holds three image-sized
+    vectors however long it takes.  theta approaches the top eigenvalue from
+    below, so callers that need an upper bound should multiply by a small
+    safety factor.  If the residual test never passes the last estimate is
+    returned with ``converged=False``.
     """
     rng = np.random.Generator(np.random.Philox(0))
-    x = ImageGrid(rng.random(A.domain_shape) + 0.5)
-    x = ImageGrid(x.values / norm(x))
+    q = ImageGrid(rng.random(A.domain_shape) + 0.5)
+    q = ImageGrid(q.values / norm(q))
+    q_prev, alphas, betas = None, [], []
     for it in range(1, 101):
-        z = A.adjoint(A.apply(x))
-        growth = norm(z)
-        if growth == 0.0:
-            return NormEstimate(value=0.0, converged=True, iterations=it)
-        lam2 = dot(x, z)
-        if norm(axpy(-lam2, x, z)) <= 1e-8 * lam2:
-            return NormEstimate(value=math.sqrt(growth), converged=True, iterations=it)
-        x = ImageGrid(z.values / growth)
-    return NormEstimate(value=math.sqrt(growth), converged=False, iterations=it)
+        w = A.adjoint(A.apply(q))
+        alphas.append(dot(q, w))
+        w = axpy(-alphas[-1], q, w)
+        if q_prev is not None:
+            w = axpy(-betas[-1], q_prev, w)
+        betas.append(norm(w))
+        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1))
+        theta = max(float(ritz[-1]), 0.0)
+        if betas[-1] == 0.0 or abs(betas[-1] * vectors[-1, -1]) <= 1e-8 * theta:
+            return NormEstimate(value=math.sqrt(theta), converged=True, iterations=it)
+        q_prev, q = q, ImageGrid(w.values / betas[-1])
+    return NormEstimate(value=math.sqrt(theta), converged=False, iterations=it)

@@ -7,8 +7,9 @@ Starting from an initial reconstruction u0 = Psi(v), each step applies
 where Delta_{u_k} is the graph Laplacian rebuilt from the current iterate
 (every ``graph_update_period``-th step; in between the last one is reused).
 On a rebuild step Delta_{u_k} u_k comes from one pass over the weight bands,
-which are stored only when the graph will be reused (period > 1); the old
-graph is released before the new one is evaluated.
+which are stored only when a later step will reuse the graph (period > 1
+and k < max_iter); the old graph is released before the new one is
+evaluated.
 The graph term is forked beside A u_k - v and A* r_k, with the same bytes
 as a serial evaluation; ``graphlap.forkjoin`` says which thread runs what.
 Both step sizes adapt to the residual r_k = A u_k - v:
@@ -170,7 +171,7 @@ def solve(
         norm_est = A.norm_estimate
         eta = eta_floor(params, norm_est.value)
         if not norm_est.converged:
-            logger.warning("operator norm estimate %.6g did not converge in %d power iterations",
+            logger.warning("operator norm estimate %.6g did not converge in %d Lanczos steps",
                            norm_est.value, norm_est.iterations)
         wp = params.wp if params.wp is not None else norm(u)
         c_value = constant_c(params, eta, wp)
@@ -180,12 +181,13 @@ def solve(
 
         threshold = params.tau * delta
         trace: list[IterateRecord] = []
-        reuse = params.graph_update_period > 1
         try:
             k = 0
             while True:
                 if k % params.graph_update_period == 0:
-                    laplacian = build_laplacian(u, params.graph, reuse=reuse)
+                    # the graph of step max_iter is applied once, to u itself
+                    laplacian = build_laplacian(u, params.graph,
+                                                reuse=params.graph_update_period > 1 and k < params.max_iter)
                 # a non-finite residual takes precedence over anything the graph
                 # term raises: the fork drops that and joins the worker
                 (residual_sq, g), lap_term = fork_join(functools.partial(_residual_and_gradient, A, u, v_data),

@@ -192,6 +192,45 @@ class TestNormalPreconditioner:
         assert np.linalg.eigvalsh(dense).min() > 0
 
 
+def reference_tv_prox(b: np.ndarray, weight: float) -> np.ndarray:
+    """Chambolle's loop with a fresh array for every intermediate, the
+    operations in the order ``recon.tv_prox`` must keep."""
+
+    def gradient(a):
+        gx = np.zeros_like(a)
+        gy = np.zeros_like(a)
+        gx[:, :-1] = a[:, 1:] - a[:, :-1]
+        gy[:-1, :] = a[1:, :] - a[:-1, :]
+        return gx, gy
+
+    def divergence(px, py):
+        div = np.zeros_like(px)
+        if px.shape[1] > 1:
+            div[:, 0] += px[:, 0]
+            div[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
+            div[:, -1] += -px[:, -2]
+        if py.shape[0] > 1:
+            div[0, :] += py[0, :]
+            div[1:-1, :] += py[1:-1, :] - py[:-2, :]
+            div[-1, :] += -py[-2, :]
+        return div
+
+    step = 0.25
+    target = b / weight
+    px = np.zeros_like(b)
+    py = np.zeros_like(b)
+    for _ in range(200):
+        gx, gy = gradient(divergence(px, py) - target)
+        denom = 1.0 + step * np.sqrt(gx * gx + gy * gy)
+        px_next = (px + step * gx) / denom
+        py_next = (py + step * gy) / denom
+        change = max(np.abs(px_next - px).max(), np.abs(py_next - py).max())
+        px, py = px_next, py_next
+        if change < 1e-5:
+            break
+    return b - weight * divergence(px, py)
+
+
 class TestTvProx:
     def test_constant_image_unchanged(self):
         b = gl.ImageGrid(np.full((12, 12), 0.6))
@@ -224,6 +263,24 @@ class TestTvProx:
 
     def test_tv_energy_of_constant_is_zero(self):
         assert tv_energy(gl.ImageGrid(np.full((5, 5), 2.0))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (33, 17), (128, 128)])
+    def test_bytes_equal_fresh_array_loop(self, shape):
+        rng = np.random.Generator(np.random.Philox(72))
+        b = rng.random(shape)
+        for weight in (recon.TV_WEIGHT, 0.03):
+            assert tv_prox(gl.ImageGrid(b), weight).values.tobytes() == reference_tv_prox(b, weight).tobytes()
+        gx = np.diff(b, axis=1, append=b[:, -1:])
+        gy = np.diff(b, axis=0, append=b[-1:, :])
+        assert tv_energy(gl.ImageGrid(b)) == float(np.sum(np.sqrt(gx * gx + gy * gy)))
+
+    def test_bytes_equal_fresh_array_loop_on_fbp_image(self):
+        truth = gl.shepp_logan(64)
+        A = gl.RadonTransform(gl.RadonGeometry(64, 30))
+        noisy, _ = gl.add_noise(A.apply(truth), gl.NoiseSpec(delta_rel=0.05, seed=1))
+        b = gl.psi_fbp(A, noisy)
+        out = tv_prox(b, recon.TV_WEIGHT).values
+        assert out.tobytes() == reference_tv_prox(b.values, recon.TV_WEIGHT).tobytes()
 
 
 class TestTvInit:

@@ -138,14 +138,15 @@ class TestDiagnostics:
         assert "(not positive)" in message
 
     def test_warns_when_norm_estimate_not_converged(self, caplog):
-        # singular values 1 and `second`: the power iterate's Rayleigh residual
-        # shrinks by second**2 per step and stays above 1e-8 for all 100 steps.
-        # At 0.99999 the estimate itself moves by only about eps^2 per step.
-        class TwoValued(gl.LinearOperator):
-            domain_shape = range_shape = (8, 8)
+        # 1024 singular values evenly spaced on [1 - width, 1]: the top one is
+        # no better separated than the rest, and the top Ritz pair's
+        # eigen-residual stays above 1e-8 for all 100 Lanczos steps.  (A
+        # spectrum of two values is resolved exactly in two steps.)
+        class Spread(gl.LinearOperator):
+            domain_shape = range_shape = (32, 32)
 
-            def __init__(self, second):
-                self.scales = np.where(np.arange(64).reshape(8, 8) < 32, 1.0, second)
+            def __init__(self, width):
+                self.scales = np.linspace(1.0 - width, 1.0, 1024).reshape(32, 32)
 
             def apply(self, u):
                 return gl.ImageGrid(self.scales * u.values)
@@ -153,16 +154,16 @@ class TestDiagnostics:
             adjoint = apply
 
         rng = np.random.Generator(np.random.Philox(84))
-        v = gl.ImageGrid(rng.random((8, 8)))
-        for second in (0.999, 0.99999):
-            A = TwoValued(second)
+        v = gl.ImageGrid(rng.random((32, 32)))
+        for width in (1e-2, 1e-4):
+            A = Spread(width)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="graphlap.solver"):
                 for _ in range(2):  # the second solve reuses the estimate and warns again
                     res = gl.solve(A, v, 0.0, ADJOINT, gl.SolverParams(wp=1.0, max_iter=1))
-            assert not res.operator_norm.converged, second
+            assert not res.operator_norm.converged, width
             warnings = [r for r in caplog.records if r.name == "graphlap.solver"]
-            assert [r.levelno for r in warnings] == [logging.WARNING, logging.WARNING], second
+            assert [r.levelno for r in warnings] == [logging.WARNING, logging.WARNING], width
             assert all("did not converge" in w.getMessage() for w in warnings)
 
     def test_norm_estimated_once_per_operator(self, caplog, monkeypatch):
@@ -186,7 +187,8 @@ class TestDiagnostics:
         assert all("||A|| estimate" in r.getMessage() for r in records)
 
     def test_default_deblur_solve_logs_no_warning(self, caplog):
-        # the blur norm is exact; 100 power iterations fall short of it at 64^2
+        # the blur norm is exact; 41 Lanczos steps would reach it at 64^2, and
+        # 100 fall short at 256^2
         truth = gl.shepp_logan(64)
         B = gl.GaussianBlur(gl.BlurKernel(rho=1.5), 64)
         noisy, delta = gl.add_noise(B.apply(truth), gl.NoiseSpec(delta_rel=0.001, seed=0))
@@ -494,6 +496,29 @@ class TestDeterminism:
         assert len(worker.trace) > 10
         assert (tmp_path / "worker.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
         assert worker.final_iterate.values.tobytes() == serial.final_iterate.values.tobytes()
+
+    def test_last_rebuild_keeps_no_bands(self, tmp_path, monkeypatch):
+        # the graph rebuilt at k = max_iter is applied once, so it stores no
+        # bands; storing them would give the same bytes
+        A = gl.GaussianBlur(gl.BlurKernel(rho=1.5), 24)
+        truth = gl.shepp_logan(24)
+        noisy, _ = gl.add_noise(A.apply(truth), gl.NoiseSpec(delta_rel=0.01, seed=4))
+        params = gl.SolverParams(max_iter=60, graph_update_period=10)
+        build = solver.build_laplacian
+        flags = []
+
+        def recording(image, config, reuse=False):
+            flags.append(reuse)
+            return build(image, config, reuse=reuse or force_last)
+
+        monkeypatch.setattr(solver, "build_laplacian", recording)
+        for force_last in (False, True):
+            flags.clear()
+            res = gl.solve(A, noisy, 0.0, ADJOINT, params, truth=truth)
+            assert res.stop_index == 60
+            write_trace_csv(res.trace, tmp_path / f"{force_last}.csv")
+        assert flags == [True] * 6 + [False]
+        assert (tmp_path / "False.csv").read_bytes() == (tmp_path / "True.csv").read_bytes()
 
     def test_underflowing_weights_match_plain_exp(self, tmp_path, monkeypatch):
         # at the adjoint start's native scale most graph weights underflow, so
