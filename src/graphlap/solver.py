@@ -161,8 +161,8 @@ def solve(
     visited iterate contributes one trace record (the stopping one included),
     so the final record's residual is the stopping residual.
     """
-    if delta < 0:
-        raise ConfigurationError(f"delta must be >= 0, got {delta}")
+    if not (0 <= delta < math.inf):
+        raise ConfigurationError(f"delta must be >= 0 and finite, got {delta}")
     if v_data.shape != A.range_shape:
         raise ConfigurationError(f"data shape {v_data.shape} does not match operator range {A.range_shape}")
 

@@ -193,7 +193,7 @@ class TestNormalPreconditioner:
 
 
 def reference_tv_prox(b: np.ndarray, weight: float) -> np.ndarray:
-    """Chambolle's loop with a fresh array for every intermediate, the
+    """Chambolle's 200 steps with a fresh array for every intermediate, the
     operations in the order ``recon.tv_prox`` must keep."""
 
     def gradient(a):
@@ -222,12 +222,8 @@ def reference_tv_prox(b: np.ndarray, weight: float) -> np.ndarray:
     for _ in range(200):
         gx, gy = gradient(divergence(px, py) - target)
         denom = 1.0 + step * np.sqrt(gx * gx + gy * gy)
-        px_next = (px + step * gx) / denom
-        py_next = (py + step * gy) / denom
-        change = max(np.abs(px_next - px).max(), np.abs(py_next - py).max())
-        px, py = px_next, py_next
-        if change < 1e-5:
-            break
+        px = (px + step * gx) / denom
+        py = (py + step * gy) / denom
     return b - weight * divergence(px, py)
 
 
@@ -273,6 +269,27 @@ class TestTvProx:
         gx = np.diff(b, axis=1, append=b[:, -1:])
         gy = np.diff(b, axis=0, append=b[-1:, :])
         assert tv_energy(gl.ImageGrid(b)) == float(np.sum(np.sqrt(gx * gx + gy * gy)))
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (2, 2)], ids=["1x7", "7x1", "2x2"])
+    @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "zero"])
+    def test_runs_exactly_200_steps(self, monkeypatch, shape, seeded):
+        # small images settle early; the step count must not depend on that
+        calls = []
+        forward_gradient = recon._forward_gradient
+
+        def counting(*args):
+            calls.append(None)
+            forward_gradient(*args)
+
+        monkeypatch.setattr(recon, "_forward_gradient", counting)
+        b = np.random.Generator(np.random.Philox(72)).random(shape) if seeded else np.zeros(shape)
+        tv_prox(gl.ImageGrid(b), recon.TV_WEIGHT)
+        assert len(calls) == 200
+
+    @pytest.mark.parametrize("weight", [0.0, -0.1, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_rejects_weight_outside_positive_finite(self, weight):
+        with pytest.raises(gl.ConfigurationError, match="weight must be positive and finite"):
+            tv_prox(gl.ImageGrid(np.ones((4, 4))), weight)
 
     def test_bytes_equal_fresh_array_loop_on_fbp_image(self):
         truth = gl.shepp_logan(64)

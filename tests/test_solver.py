@@ -216,10 +216,11 @@ def diverging_case():
 
 
 class TestSolve:
-    def test_rejects_negative_delta(self):
+    @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_negative_delta(self, bad):
         A, truth, clean, noisy, delta = ct16_problem()
-        with pytest.raises(gl.ConfigurationError):
-            gl.solve(A, noisy, -1e-9, ADJOINT, gl.SolverParams())
+        with pytest.raises(gl.ConfigurationError, match="delta must be >= 0 and finite"):
+            gl.solve(A, noisy, bad, ADJOINT, gl.SolverParams())
 
     def test_rejects_shape_mismatch(self):
         A = gl.RadonTransform(gl.RadonGeometry(16, 10))
