@@ -2,9 +2,10 @@
 
 Every operator is linear with an adjoint that is the exact transpose of the
 forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
-rounding error.  The Radon transform is a sparse matrix, and its A and A*
-give the bytes of the products with the one matrix of a global assembly.
-The blur is a separable zero-padded convolution with symmetric taps (hence
+rounding error.  The Radon transform is a sparse matrix held as two row
+blocks, one per half of the angles: its A gives the bytes of the product
+with the one matrix of a global assembly, and its A* the sum of the two
+blocks' transposed products.  The blur is a separable zero-padded convolution with symmetric taps (hence
 self-adjoint), built once per operator.
 """
 
@@ -14,12 +15,10 @@ import functools
 import math
 import mmap
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
-from scipy.sparse import _sparsetools
 
 from .errors import ConfigurationError, ShapeMismatch
 from .forkjoin import fork_join, second_core
@@ -103,11 +102,6 @@ class RadonGeometry:
         -half_span to half_span, half the image diagonal or more."""
         return math.ceil(math.sqrt(2.0) * self.image_size / 2.0)
 
-    @property
-    def cut(self) -> int:
-        """Pixels of the left column block, the rest are the right one's."""
-        return self.image_size ** 2 // 2
-
 
 class _AngleWork:
     """Scratch for ``_angle_block`` at one geometry, reused angle after angle
@@ -132,8 +126,7 @@ class _AngleWork:
 
 
 def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
-    """The rays of angle ``t`` as CSR blocks of the pixels below
-    ``geometry.cut`` and of the rest.
+    """The rays of angle ``t`` as one ``(d, E^2)`` CSR matrix.
 
     Every array the angle's entries pass through is in ``work``, each
     computed by the same operations in the same order as the plain
@@ -143,12 +136,11 @@ def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
     entries in the order its sort leaves them, so this order pins the bytes:
     it is the one in which a global COO-to-CSR conversion hands each row to
     the same sort and sum.  Beside the masked entries and the per-ray
-    counts, the call allocates only what the sort and the two column slices
-    do, and the blocks it returns share no memory with ``work``.
+    counts, the call allocates only what the sort does, and the block it
+    returns shares no memory with ``work``.
     """
     size = geometry.image_size
     d = geometry.num_detectors
-    cut = geometry.cut
     center = geometry.center
     offsets = geometry.detector_offsets
     steps = work.steps
@@ -184,32 +176,25 @@ def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(work.ok, axis=(1, 2)))))
     block = sparse.csr_matrix((work.w[work.ok], work.col[work.ok], indptr), shape=(d, size * size))
     block.sum_duplicates()
-    return block[:, :cut], block[:, cut:]
+    return block
 
 
 def _block_capacities(geometry: RadonGeometry) -> np.ndarray:
-    """Per angle, at most how many entries its rays put into the left and
-    into the right pixel-column block, shape ``(num_angles, 2)``.
+    """Per angle, at most how many entries its rays put into the matrix,
+    shape ``(num_angles,)``.
 
     A sample point (px, py) reaches the pixels (x0 + {0, 1}, y0 + {0, 1}) of
     its floor (x0, y0): at most 4 entries, and merging duplicates only lowers
-    that.  With E the image side, it can reach a left-block pixel only inside
-    the rectangle [-1, E) x [-1, (cut - 1) // E + 1), and a right-block one
-    only inside [-1, E) x [cut // E - 1, E); call it w by h.  A ray's
-    unit-spaced samples put at most chord + 1 of their points in it, and one
-    more at each end for rounding, so the d rays add 3 d to their chords.
-    The chord of a convex set is concave in the ray offset, and the rays are
-    parallel and unit-spaced, so at every angle their chords sum to at most
-    area + diagonal: each angle gets 4 ceil(w h + hypot(w, h) + 3 d).
+    that.  With E the image side, it can reach a pixel only inside the
+    square [-1, E) x [-1, E), of side w = E + 1.  A ray's unit-spaced
+    samples put at most chord + 1 of their points in it, and one more at
+    each end for rounding, so the d rays add 3 d to their chords.  The chord
+    of a convex set is concave in the ray offset, and the rays are parallel
+    and unit-spaced, so at every angle their chords sum to at most area +
+    diagonal: each angle gets 4 ceil(w^2 + hypot(w, w) + 3 d).
     """
-    size, cut, d = geometry.image_size, geometry.cut, geometry.num_detectors
-    w, heights = size + 1, ((cut - 1) // size + 2, size - cut // size + 1)
-    bounds = [4 * math.ceil(w * h + math.hypot(w, h) + 3 * d) for h in heights]
-    return np.full((geometry.num_angles, 2), bounds, dtype=np.int64)
-
-
-# entries of the worker's run that ``_close_gap`` moves at a time
-_MOVE_CHUNK = 1 << 18
+    w, d = geometry.image_size + 1, geometry.num_detectors
+    return np.full(geometry.num_angles, 4 * math.ceil(w * w + math.hypot(w, w) + 3 * d), dtype=np.int64)
 
 
 def _private_map(count: int, dtype) -> np.ndarray:
@@ -217,125 +202,77 @@ def _private_map(count: int, dtype) -> np.ndarray:
 
     A page of it takes memory only once touched, and none of it sits on the
     allocator's heap.  ``MAP_PRIVATE`` because Python maps ``fileno=-1`` as
-    ``MAP_SHARED``, which is shared memory: there ``MADV_DONTNEED`` drops
-    pages from the resident set without freeing them, and the process's peak
-    RSS would not show them.
+    ``MAP_SHARED``, which is shared memory rather than the process's own.
     """
     dtype = np.dtype(dtype)
     pages = mmap.mmap(-1, max(count * dtype.itemsize, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     return np.frombuffer(pages, dtype, count)
 
 
+def _angle_rows(geometry: RadonGeometry, lo: int, hi: int):
+    """The rays of angles ``[lo, hi)`` as one CSR matrix, built in one
+    ``_AngleWork`` on the calling thread.
+
+    Each angle's entries (``_angle_block``) go into the final ``data`` and
+    ``indices`` arrays as soon as they are built, so at most one angle's
+    entries are alive at a time.  The arrays are allocated at a bound on the
+    entries that the geometry alone gives (``_block_capacities``), on private
+    anonymous maps (``_private_map``), so capacity the angles do not reach is
+    never resident; the matrix holds exact-length views on the maps, which
+    are unmapped with it.
+    """
+    d = geometry.num_detectors
+    capacity = int(_block_capacities(geometry)[lo:hi].sum())
+    data, indices = _private_map(capacity, np.float64), _private_map(capacity, np.int32)
+    indptr = np.zeros((hi - lo) * d + 1, dtype=np.int64)
+    work = _AngleWork(geometry)
+
+    def place(t: int, block):
+        row = (t - lo) * d
+        start = indptr[row]
+        end = start + block.nnz
+        if end > capacity:
+            raise RuntimeError(f"Radon angles [{lo}, {hi}) outgrew their capacity {capacity} at angle {t}")
+        data[start:end] = block.data
+        indices[start:end] = block.indices
+        indptr[row + 1:row + d + 1] = start + block.indptr[1:]
+
+    for t in range(lo, hi):
+        place(t, _angle_block(geometry, t, work))
+    # views of exactly the entries, which scipy keeps rather than copying a
+    # short slice of a longer array; scipy casts indptr to int32, the dtype
+    # of a global conversion
+    nnz = int(indptr[-1])
+    parts = [np.frombuffer(part.base, part.dtype, nnz) for part in (data, indices)]
+    return sparse.csr_matrix((*parts, indptr), shape=((hi - lo) * d, geometry.image_size ** 2))
+
+
 def _radon_matrix(geometry: RadonGeometry):
-    """Forward projection matrix as two CSR pixel-column blocks.
+    """Forward projection matrix as two row blocks, one per half of the
+    angles.
 
-    The calling thread claims angles (``_angle_block``) from the first one up
-    and, through ``fork_join``, the worker from the last one down, until the
-    two meet; a worker that is slow or taken leaves the caller more of them.
-    Each thread builds its angles in one ``_AngleWork`` of its own, allocated
-    when it starts and dropped at the join.  Each angle's entries go into the
-    final ``data`` and ``indices`` arrays of each block as soon as they are
-    built, so at most two angles' entries are alive at a time, one per
-    thread.  The arrays are allocated at a bound on the entries that the
-    geometry alone gives, one closed form per block and angle
-    (``_block_capacities``), on private anonymous maps (``_private_map``), so
-    capacity no thread reaches is never resident; the caller fills them from
-    the front and the worker from the back.  After the join ``_close_gap``
-    moves the worker's run down to follow the caller's and releases the pages
-    past the entries, and the blocks hold length-nnz views on the maps, which
-    are unmapped with the matrix.  Each angle's entries reach the sort ray by
-    ray, in the order one global conversion gives it, so the blocks hold
-    that conversion's bytes, plus one ``indptr``, whichever thread assembled
-    each angle.
+    The first block holds the rays of angles ``[0, h)``, h = ceil(m / 2), and
+    is built on the calling thread; the second holds those of ``[h, m)`` and
+    is built, through ``fork_join``, on the worker (``_angle_rows``).  Each
+    ray is one row, and each angle's entries reach the sort ray by ray, in
+    the order one global conversion gives it, so the two blocks are that
+    conversion's rows, byte for byte, whichever thread built them.
     """
-    m, d, cut = geometry.num_angles, geometry.num_detectors, geometry.cut
-    n = geometry.image_size ** 2
-    capacity = [int(c) for c in _block_capacities(geometry).sum(axis=0)]
-    data = [_private_map(c, np.float64) for c in capacity]
-    indices = [_private_map(c, np.int32) for c in capacity]
-    counts = np.empty((2, m * d), dtype=np.int64)  # entries per ray and block
-    lock = threading.Lock()
-    bounds = [0, geometry.num_angles]  # the angles no thread has claimed yet
-    front, back = [0, 0], list(capacity)  # per block, the slots no thread has taken
-
-    def place(t: int, up: bool, blocks):
-        for h, block in enumerate(blocks):
-            size = block.nnz
-            with lock:
-                if front[h] + size > back[h]:
-                    raise RuntimeError(f"Radon block {h} outgrew its capacity {capacity[h]} at angle {t}")
-                if up:
-                    at = front[h]
-                    front[h] += size
-                else:
-                    back[h] -= size
-                    at = back[h]
-            data[h][at:at + size] = block.data
-            indices[h][at:at + size] = block.indices
-            counts[h, t * d:(t + 1) * d] = np.diff(block.indptr)
-
-    def assemble(up: bool):
-        work = _AngleWork(geometry)
-        while True:
-            with lock:
-                if bounds[0] == bounds[1]:
-                    return
-                if up:
-                    t = bounds[0]
-                    bounds[0] += 1
-                else:
-                    bounds[1] -= 1
-                    t = bounds[1]
-            place(t, up, _angle_block(geometry, t, work))
-
-    fork_join(lambda: assemble(True), lambda: assemble(False))
-    blocks = []
-    for h, width in enumerate((cut, n - cut)):
-        # the worker stored its angles last to first from the end, so its
-        # run already follows angle order
-        parts = [_close_gap(part, front[h], back[h]) for part in (data[h], indices[h])]
-        indptr = np.concatenate(([0], np.cumsum(counts[h])))
-        # int32 indptr and indices, as a global conversion stores them
-        blocks.append(sparse.csr_matrix((*parts, indptr), shape=(m * d, width)))
-    return tuple(blocks)
-
-
-def _close_gap(part: np.ndarray, front: int, back: int) -> np.ndarray:
-    """Move the run ``part[back:]`` of a ``_private_map`` array down to
-    follow ``part[:front]`` and return the entries up to its end, a view on
-    the map.
-
-    The run moves in chunks of ``_MOVE_CHUNK`` entries, low to high, so no
-    chunk overwrites a source still to move; each chunk's whole source pages
-    past the entries are released (``MADV_DONTNEED``) before the next chunk
-    touches its destination, and so is every page past the entries at the
-    end.  The view holds exactly the entries, so scipy keeps it instead of
-    copying a short slice of a longer array.
-    """
-    pages, step, page = part.base.obj, part.itemsize, mmap.PAGESIZE
-    run = part.size - back
-    kept = -(-(front + run) * step // page) * page  # the pages from here on hold no entry
-    for start in range(0, run, _MOVE_CHUNK):
-        stop = min(start + _MOVE_CHUNK, run)
-        part[front + start:front + stop] = part[back + start:back + stop]
-        lo = max(kept, (back + start) * step // page * page)
-        hi = (back + stop) * step // page * page
-        if lo < hi:
-            pages.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
-    if kept < len(pages):
-        pages.madvise(mmap.MADV_DONTNEED, kept)
-    return np.frombuffer(pages, part.dtype, front + run)
+    half = (geometry.num_angles + 1) // 2
+    return fork_join(lambda: _angle_rows(geometry, 0, half),
+                     lambda: _angle_rows(geometry, half, geometry.num_angles))
 
 
 class RadonTransform(LinearOperator):
     """Discrete Radon transform via bilinear interpolation along rays.
 
-    The matrix M is held as two pixel-column blocks (``_radon_matrix``).  A
-    runs two halves of the rays and A* the two blocks' transposes, one per
-    half of the pixels; ``fork_join`` hands the second half to the solve's
-    worker when one is free.  Every ray and every pixel sums the same terms
-    in the same order as ``M @ x`` or ``M.T @ s``, so the results are the
-    same bytes.
+    The matrix M is held as two row blocks M1 and M2, one per half of the
+    angles (``_radon_matrix``).  A x = [M1 x; M2 x], so each ray sums the
+    same terms in the same order as ``M @ x`` and A gives its bytes.  A* s =
+    M1^T s1 + M2^T s2: each pixel sums its terms of each half in ray order,
+    then adds the two sums, so A* is ``M.T @ s`` up to rounding, and the
+    same bytes serial or forked.  ``fork_join`` hands the second half of
+    each to the solve's worker when one is free.
     """
 
     def __init__(self, geometry: RadonGeometry):
@@ -343,32 +280,23 @@ class RadonTransform(LinearOperator):
         self.domain_shape = (geometry.image_size, geometry.image_size)
         self.range_shape = (geometry.num_angles, geometry.num_detectors)
         with second_core():
-            self._left, self._right = _radon_matrix(geometry)
+            self._m1, self._m2 = _radon_matrix(geometry)
 
     def apply(self, u: ImageGrid) -> Sinogram:
         self._check_domain(u)
         x = u.values.ravel()
-        cut = self._left.shape[1]
-        out = np.zeros(self._left.shape[0])
-
-        def rays(lo, hi):
-            # each ray adds its left-block terms, then its right-block ones:
-            # scipy's private kernel, as no public product adds into an output
-            for block, part in ((self._left, x[:cut]), (self._right, x[cut:])):
-                _sparsetools.csr_matvec(hi - lo, block.shape[1], block.indptr[lo:hi + 1], block.indices,
-                                        block.data, part, out[lo:hi])
-
-        mid = out.size // 2
-        fork_join(lambda: rays(0, mid), lambda: rays(mid, out.size))
-        return Sinogram(out.reshape(self.range_shape))
+        halves = fork_join(lambda: self._m1 @ x, lambda: self._m2 @ x)
+        return Sinogram(np.concatenate(halves).reshape(self.range_shape))
 
     def adjoint(self, s: Sinogram) -> ImageGrid:
         if not isinstance(s, Sinogram) or s.shape != self.range_shape:
             raise ShapeMismatch(f"expected a Sinogram of shape {self.range_shape}")
         y = s.values.ravel()
+        rows = self._m1.shape[0]
         # the blocks' CSC views: each pixel sums over increasing ray index
-        halves = fork_join(lambda: self._left.T @ y, lambda: self._right.T @ y)
-        return ImageGrid(np.concatenate(halves).reshape(self.domain_shape))
+        first, second = fork_join(lambda: self._m1.T @ y[:rows], lambda: self._m2.T @ y[rows:])
+        first += second
+        return ImageGrid(first.reshape(self.domain_shape))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 import contextlib
 import math
-import mmap
 import os
 import subprocess
 import sys
@@ -54,47 +53,47 @@ def global_coo_radon(geometry):
     ).tocsr()
 
 
-def rejoined(left, right):
-    """The CSR arrays of the matrix [left | right]: each row's left-block
-    entries, then its right-block entries moved past the left block's columns."""
-    indices, data = [], []
-    for i in range(left.shape[0]):
-        for block, shift in ((left, 0), (right, left.shape[1])):
-            lo, hi = block.indptr[i], block.indptr[i + 1]
-            indices.append(block.indices[lo:hi] + shift)
-            data.append(block.data[lo:hi])
-    return {"indptr": left.indptr + right.indptr, "indices": np.concatenate(indices), "data": np.concatenate(data)}
+def first_half(geometry):
+    """Angles in the first row block, which the calling thread assembles:
+    ceil(m / 2)."""
+    return (geometry.num_angles + 1) // 2
 
 
-def assert_blocks_equal_global_assembly(left, right, geometry):
-    """The two pixel-column blocks are the global-COO matrix cut at pixel n // 2,
-    byte for byte, dtypes included."""
+def global_row_halves(geometry):
+    """The global-COO matrix's rows of angles [0, h) and [h, m), each as CSR
+    arrays re-based to its first row."""
     want = global_coo_radon(geometry)
-    n = geometry.image_size ** 2
-    cut = n // 2
-    assert left.shape == (want.shape[0], cut) and right.shape == (want.shape[0], n - cut)
-    assert np.all(left.indices < cut) and np.all((right.indices >= 0) & (right.indices < n - cut))
-    got = rejoined(left, right)
-    for part in ("indptr", "indices", "data"):
-        assert got[part].dtype == getattr(want, part).dtype
-        assert np.array_equal(got[part], getattr(want, part)), part
+    cut = first_half(geometry) * geometry.num_detectors
+    halves = []
+    for lo, hi in ((0, cut), (cut, want.shape[0])):
+        start, stop = want.indptr[lo], want.indptr[hi]
+        halves.append({"shape": (hi - lo, want.shape[1]), "indptr": want.indptr[lo:hi + 1] - start,
+                       "indices": want.indices[start:stop], "data": want.data[start:stop]})
+    return halves
 
 
-def assembly_threads(monkeypatch, hold=None):
+def equals_row_half(block, half):
+    """The block's shape and CSR arrays equal the row half's, dtypes included."""
+    return block.shape == half["shape"] and all(
+        getattr(block, part).dtype == half[part].dtype and getattr(block, part).tobytes() == half[part].tobytes()
+        for part in ("indptr", "indices", "data"))
+
+
+def assert_blocks_equal_global_assembly(m1, m2, geometry):
+    """The two row blocks are the global-COO matrix's rows of the first and
+    of the last angles, byte for byte, dtypes included."""
+    for h, (block, half) in enumerate(zip((m1, m2), global_row_halves(geometry))):
+        assert equals_row_half(block, half), h
+
+
+def assembly_threads(monkeypatch):
     """Angles by the id of the thread that assembled them, from every
-    per-angle call of the Radon assembly.  The first angle of thread ``hold``
-    waits until another thread has assembled one, or for 10 s."""
+    per-angle call of the Radon assembly."""
     threads = {}
-    elsewhere = threading.Event()
     angle_block = operators._angle_block
 
     def recorded(geometry, t, *rest):
-        thread = threading.get_ident()
-        if thread != hold:
-            elsewhere.set()
-        elif thread not in threads:
-            elsewhere.wait(timeout=10.0)
-        threads.setdefault(thread, []).append(t)
+        threads.setdefault(threading.get_ident(), []).append(t)
         return angle_block(geometry, t, *rest)
 
     monkeypatch.setattr(operators, "_angle_block", recorded)
@@ -105,12 +104,11 @@ def matrix_bytes(blocks):
     return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
 
 
-# from a 2x2 image seen at one angle up; the odd sizes 3, 9 and 33 have odd
-# pixel counts, which the blocks cut into unequal halves
-BIT_GEOMETRIES = [(2, 1), (3, 2), (9, 5), (16, 7), (33, 10), (64, 30)]
-# plus an odd side with more angles, the benchmark image size, and many
-# angles on small images
-CAPACITY_GEOMETRIES = BIT_GEOMETRIES + [(37, 13), (128, 60), (8, 64), (17, 64)]
+# from a 2x2 image seen at one angle up, whose second row block is empty;
+# the odd angle counts give the calling thread's block one angle more
+BIT_GEOMETRIES = [(2, 1), (3, 2), (9, 5), (16, 7), (33, 10), (37, 13), (64, 30)]
+# plus the benchmark image size, and many angles on small images
+CAPACITY_GEOMETRIES = BIT_GEOMETRIES + [(128, 60), (8, 64), (17, 64)]
 # outside a solve the halves run one after the other on the calling thread;
 # inside a solve's worker block the second half runs on the worker
 SERIAL_AND_SPLIT = (contextlib.nullcontext, second_core)
@@ -223,29 +221,26 @@ class TestRadonTransform:
 
     @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
     def test_split_assembly_equals_global_assembly_bytes(self, size, angles):
-        # the later angles on the worker, wherever the two threads meet; a
-        # single angle goes to whichever thread claims it first
+        # the later angles on the worker
         geom = gl.RadonGeometry(size, angles)
         with second_core():
-            left, right = _radon_matrix(geom)
-        assert_blocks_equal_global_assembly(left, right, geom)
+            m1, m2 = _radon_matrix(geom)
+        assert_blocks_equal_global_assembly(m1, m2, geom)
 
     def test_worker_assembles_the_later_angles(self, monkeypatch):
-        # the caller's first angle waits for the worker to claim one, so the
-        # worker always gets angles; without a worker the wait times out
+        # the calling thread builds the first half of the angles in order, the
+        # worker the rest in order
         here = threading.get_ident()
-        threads = assembly_threads(monkeypatch, hold=here)
+        threads = assembly_threads(monkeypatch)
         geom = gl.RadonGeometry(33, 9)
         A = gl.RadonTransform(geom)
-        mine = threads.pop(here)
-        assert len(threads) == 1, "no angle assembled off the calling thread"
-        (theirs,) = threads.values()
-        assert mine == list(range(len(mine))) and theirs == list(range(8, len(mine) - 1, -1))
-        assert_blocks_equal_global_assembly(A._left, A._right, geom)
+        assert threads.pop(here) == list(range(5))
+        assert list(threads.values()) == [list(range(5, 9))], "the later angles not assembled on one other thread"
+        assert_blocks_equal_global_assembly(A._m1, A._m2, geom)
 
     def test_assembly_in_a_fork_branch_stays_on_its_thread(self, monkeypatch):
         # the branches' worker is taken, so each operator built in a branch
-        # assembles every angle, in order, on that branch's thread
+        # assembles both halves, every angle in order, on that branch's thread
         threads = assembly_threads(monkeypatch)
         geom = gl.RadonGeometry(16, 7)
         with second_core():
@@ -253,20 +248,24 @@ class TestRadonTransform:
         assert threading.get_ident() in threads
         assert list(threads.values()) == [list(range(7))] * 2
         for A in built:
-            assert_blocks_equal_global_assembly(A._left, A._right, geom)
+            assert_blocks_equal_global_assembly(A._m1, A._m2, geom)
 
     @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
     def test_adjoint_bits_equal_explicit_transpose(self, size, angles):
+        # each pixel sums its terms of each row half in ray order, then adds
+        # the two sums: M1^T s1 + M2^T s2 of the global matrix's row halves
         geom = gl.RadonGeometry(size, angles)
         A = gl.RadonTransform(geom)
-        back = global_coo_radon(geom).T.tocsr()
+        want = global_coo_radon(geom)
+        cut = first_half(geom) * geom.num_detectors
+        back = [want[:cut].T.tocsr(), want[cut:].T.tocsr()]
         rng = np.random.Generator(np.random.Philox(38))
         for where in SERIAL_AND_SPLIT:
             with where():
                 for _ in range(3):
-                    s = rng.standard_normal(A.range_shape)
-                    got = A.adjoint(gl.Sinogram(s)).values.ravel()
-                    assert got.tobytes() == (back @ s.ravel()).tobytes(), where.__name__
+                    s = rng.standard_normal(A.range_shape).ravel()
+                    got = A.adjoint(gl.Sinogram(s.reshape(A.range_shape))).values.ravel()
+                    assert got.tobytes() == (back[0] @ s[:cut] + back[1] @ s[cut:]).tobytes(), where.__name__
 
     @pytest.mark.parametrize("size,angles", BIT_GEOMETRIES)
     def test_apply_bits_equal_global_matrix(self, size, angles):
@@ -311,17 +310,16 @@ class TestRadonTransform:
 
     def test_concurrent_assemblies_claim_every_angle_once(self):
         # four builders, each with its own worker, on two cores, switching as
-        # often as the interpreter can: every angle is assembled exactly once
+        # often as the interpreter can: every angle is assembled exactly once,
+        # into its own builder's matrix
         geom = gl.RadonGeometry(8, 64)
-        want = global_coo_radon(geom)
+        want = global_row_halves(geom)
         same = []
 
         def builder():
             for _ in range(6):
                 A = gl.RadonTransform(geom)
-                got = rejoined(A._left, A._right)
-                same.append(all(np.array_equal(got[part], getattr(want, part))
-                                for part in ("indptr", "indices", "data")))
+                same.append(equals_row_half(A._m1, want[0]) and equals_row_half(A._m2, want[1]))
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -337,15 +335,15 @@ class TestRadonTransform:
         assert same == [True] * 24
 
     def test_holds_one_sparse_matrix(self):
-        # the matrix's entries, once, split between its two pixel-column
-        # blocks; no transpose or other copy is kept beside them
+        # the matrix's entries, once, split between its two row blocks of 4
+        # and 3 angles; no transpose or other copy is kept beside them
         geom = gl.RadonGeometry(16, 7)
         A = gl.RadonTransform(geom)
         held = [m for m in vars(A).values() if sparse.issparse(m)]
         assert len(held) == 2
         assert [m.format for m in held] == ["csr", "csr"]
-        rays = A.range_shape[0] * A.range_shape[1]
-        assert [m.shape for m in held] == [(rays, 128), (rays, 128)]
+        d = geom.num_detectors
+        assert [m.shape for m in held] == [(4 * d, 256), (3 * d, 256)]
         assert sum(m.nnz for m in held) == global_coo_radon(geom).nnz
 
     def test_assembly_memory_stays_near_the_matrix(self):
@@ -392,7 +390,7 @@ with open("/proc/self/statm") as f:
     baseline = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 for _ in range(9):
     A = gl.RadonTransform(gl.RadonGeometry(128, 60))
-    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (A._left, A._right))
+    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (A._m1, A._m2))
     del A
 with open("/proc/self/status") as f:
     peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) * 1024
@@ -403,80 +401,61 @@ print((peak - baseline) / size)
         ratio = float(proc.stdout)
         assert ratio <= 1.7, f"peak RSS over the import's {ratio:.2f}x the matrix bytes"
 
-    @pytest.mark.parametrize("front,gap,run", [(5000, 0, 7000), (5000, 300, 7000), (5000, 4000, 2500),
-                                               (0, 9000, 7000), (3000, 2000, 0)])
-    def test_close_gap_moves_the_run_and_releases_the_tail(self, monkeypatch, front, gap, run):
-        # chunks of 1000 entries: a gap under a chunk overlaps each chunk's
-        # source and destination; released pages read as zeros again
-        monkeypatch.setattr(operators, "_MOVE_CHUNK", 1000)
-        for dtype in (np.float64, np.int32):
-            part = operators._private_map(front + gap + run, dtype)
-            part[:front] = np.arange(1, front + 1)
-            part[front + gap:] = -np.arange(1, run + 1)
-            closed = operators._close_gap(part, front, front + gap)
-            want = np.concatenate((np.arange(1, front + 1), -np.arange(1, run + 1))).astype(dtype)
-            assert closed.dtype == dtype and closed.tobytes() == want.tobytes()
-            assert np.shares_memory(closed, part)
-            per_page = mmap.PAGESIZE // part.itemsize
-            assert not part[-(-closed.size // per_page) * per_page:].any()
-
     def test_reused_workspace_keeps_the_bytes(self):
         # every angle through one workspace equals a fresh workspace per call
-        # and the global conversion's rows of that angle, cut at n // 2; no
-        # returned array shares memory with the workspace
+        # and the global conversion's rows of that angle; no returned array
+        # shares memory with the workspace
         for size, angles in ((33, 20), (64, 30), (128, 60)):
             geom = gl.RadonGeometry(size, angles)
-            d, cut = geom.num_detectors, size * size // 2
+            d = geom.num_detectors
             want = global_coo_radon(geom)
             work = operators._AngleWork(geom)
             scratch = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
             scratch += work.inside
             for t in range(angles):
-                reused = operators._angle_block(geom, t, work)
-                fresh = operators._angle_block(geom, t, operators._AngleWork(geom))
-                rows = want[t * d:(t + 1) * d]
-                for got, other, ref in zip(reused, fresh, (rows[:, :cut], rows[:, cut:])):
-                    for part in ("data", "indices", "indptr"):
-                        mine = getattr(got, part)
-                        assert mine.dtype == getattr(other, part).dtype == getattr(ref, part).dtype, part
-                        assert mine.tobytes() == getattr(other, part).tobytes() == getattr(ref, part).tobytes(), \
-                            (size, t, part)
-                        assert not any(np.shares_memory(mine, a) for a in scratch), (size, t, part)
+                got = operators._angle_block(geom, t, work)
+                other = operators._angle_block(geom, t, operators._AngleWork(geom))
+                ref = want[t * d:(t + 1) * d]
+                for part in ("data", "indices", "indptr"):
+                    mine = getattr(got, part)
+                    assert mine.dtype == getattr(other, part).dtype == getattr(ref, part).dtype, part
+                    assert mine.tobytes() == getattr(other, part).tobytes() == getattr(ref, part).tobytes(), \
+                        (size, t, part)
+                    assert not any(np.shares_memory(mine, a) for a in scratch), (size, t, part)
 
     @pytest.mark.parametrize("where", SERIAL_AND_SPLIT, ids=["serial", "split"])
     def test_assembly_keeps_no_earlier_angle_alive(self, monkeypatch, where):
-        # each angle's blocks go into the final arrays before its thread
-        # starts another: whenever an angle starts, at most four blocks (two
-        # per thread) are alive
+        # each angle's block goes into the final arrays before its thread
+        # starts another: whenever an angle starts, no block its thread built
+        # before is alive, so at most two are, one per thread
         angle_block = operators._angle_block
-        returned, alive = [], []
+        returned, alive = {}, []
 
         def watched(geometry, t, *rest):
-            alive.append(sum(ref() is not None for ref in returned))
-            blocks = angle_block(geometry, t, *rest)
-            returned.extend(weakref.ref(block) for block in blocks)
-            return blocks
+            mine = returned.setdefault(threading.get_ident(), [])
+            alive.append(sum(ref() is not None for ref in mine))
+            block = angle_block(geometry, t, *rest)
+            mine.append(weakref.ref(block))
+            return block
 
         monkeypatch.setattr(operators, "_angle_block", watched)
         geom = gl.RadonGeometry(33, 20)
         with where():
-            left, right = _radon_matrix(geom)
-        assert len(alive) == 20 and max(alive) <= 4, alive
-        assert_blocks_equal_global_assembly(left, right, geom)
+            m1, m2 = _radon_matrix(geom)
+        assert len(alive) == 20 and max(alive) == 0, alive
+        assert_blocks_equal_global_assembly(m1, m2, geom)
 
     @pytest.mark.parametrize("size,angles", CAPACITY_GEOMETRIES)
     def test_capacities_bound_the_raw_entries_of_every_angle(self, monkeypatch, size, angles):
-        # the entries each angle gathers for each block before duplicates
-        # merge, counted on their way into the angle's (d, E^2) CSR matrix
+        # the entries each angle gathers before duplicates merge, counted on
+        # their way into the angle's (d, E^2) CSR matrix
         geom = gl.RadonGeometry(size, angles)
-        cut = size * size // 2
         raw = []
         csr_matrix = sparse.csr_matrix
 
         def counted(arg, shape):
             if shape == (geom.num_detectors, size * size):
-                cols = arg[1]
-                raw.append((np.count_nonzero(cols < cut), np.count_nonzero(cols >= cut)))
+                raw.append(arg[1].size)
             return csr_matrix(arg, shape=shape)
 
         monkeypatch.setattr(operators.sparse, "csr_matrix", counted)
@@ -484,27 +463,27 @@ print((peak - baseline) / size)
         for t in range(angles):
             operators._angle_block(geom, t, work)
         capacities = operators._block_capacities(geom)
-        assert capacities.shape == (angles, 2) and len(raw) == angles
+        assert capacities.shape == (angles,) and len(raw) == angles
         assert np.all(np.array(raw) <= capacities), np.argwhere(np.array(raw) > capacities)
 
     @pytest.mark.parametrize("where", SERIAL_AND_SPLIT, ids=["serial", "split"])
     def test_capacity_one_entry_short_raises(self, monkeypatch, where):
-        # an exact capacity fills both blocks to the last slot; one entry
-        # less and the front would pass the back
+        # an exact capacity fills both row blocks to the last slot; one entry
+        # less and the last angle of that block overflows
         geom = gl.RadonGeometry(16, 7)
-        left, right = _radon_matrix(geom)
-        exact = np.zeros((7, 2), dtype=np.int64)
-        exact[0] = left.nnz, right.nnz
+        m1, m2 = _radon_matrix(geom)
+        exact = np.zeros(7, dtype=np.int64)
+        exact[0], exact[4] = m1.nnz, m2.nnz  # angles [0, 4) and [4, 7)
         monkeypatch.setattr(operators, "_block_capacities", lambda g: exact)
         with where():
-            left, right = _radon_matrix(geom)
-        assert left.data.size + right.data.size == exact.sum()
-        assert_blocks_equal_global_assembly(left, right, geom)
-        for h in range(2):
+            m1, m2 = _radon_matrix(geom)
+        assert m1.data.size + m2.data.size == exact.sum()
+        assert_blocks_equal_global_assembly(m1, m2, geom)
+        for first, (lo, hi) in ((0, (0, 4)), (4, (4, 7))):
             short = exact.copy()
-            short[0, h] -= 1
+            short[first] -= 1
             monkeypatch.setattr(operators, "_block_capacities", lambda g: short)
-            with where(), pytest.raises(RuntimeError, match=f"block {h} outgrew its capacity"):
+            with where(), pytest.raises(RuntimeError, match=rf"angles \[{lo}, {hi}\) outgrew their capacity .* at angle {hi - 1}"):
                 _radon_matrix(geom)
 
     def test_shape_validation(self):
