@@ -214,7 +214,7 @@ def run_laplacian_demo(config: ExperimentConfig, out_dir: Path) -> int:
     write_weights_csv(laplacian, out_dir / "weights.csv")
     write_degrees_csv(laplacian, out_dir / "degrees.csv")
     _write_meta(out_dir / "meta.txt", config, {})
-    print(f"laplacian_demo: wrote {laplacian.weights.nnz} weights and {laplacian.n} degrees")
+    print(f"laplacian_demo: wrote {laplacian.weights.nnz} weights and {laplacian.degrees.size} degrees")
     return 0
 
 

@@ -157,18 +157,6 @@ class SparseLaplacian:
         self.reuse = reuse
         self._bands = None
 
-    @property
-    def height(self) -> int:
-        return self.image.height
-
-    @property
-    def width(self) -> int:
-        return self.image.width
-
-    @property
-    def n(self) -> int:
-        return self.height * self.width
-
     def apply(self, x: ImageGrid) -> ImageGrid:
         """Apply Delta to an image of the matching shape.
 
@@ -176,7 +164,7 @@ class SparseLaplacian:
         the first pixel of every pair and subtracts it from the second.
         """
         if x.shape != self.image.shape:
-            raise ShapeMismatch(f"image shape {x.shape} does not match grid ({self.height}, {self.width})")
+            raise ShapeMismatch(f"image shape {x.shape} does not match grid {self.image.shape}")
         if x is self.image and self._bands is None:
             out = self._pass(x, keep=self.reuse)
         else:
@@ -247,25 +235,26 @@ class SparseLaplacian:
     def weights(self) -> sparse.csr_matrix:
         """W as a CSR matrix: every within-radius pair in both directions,
         zero weights included, columns sorted within each row."""
+        n = self.image.values.size
         rows, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-        for (dj, s), w in zip(_shifts(self.config, self.height, self.width), self.bands):
-            p = _valid(self.height, self.width, dj, s)
+        for (dj, s), w in zip(_shifts(self.config, *self.image.shape), self.bands):
+            p = _valid(*self.image.shape, dj, s)
             rows += [p, p + s]
             cols += [p + s, p]
             vals += [w[p], w[p]]
         return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                                 shape=(self.n, self.n)).tocsr()
+                                 shape=(n, n)).tocsr()
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Row sums of W, accumulated left to right within each row."""
-        degrees = self.weights @ np.ones(self.n)
+        degrees = self.weights @ np.ones(self.image.values.size)
         degrees.setflags(write=False)
         return degrees
 
     def triplets(self):
         """Stored edges as (rows, cols, weights) arrays in row-major order."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.weights.indptr))
+        rows = np.repeat(np.arange(self.image.values.size, dtype=np.int64), np.diff(self.weights.indptr))
         return rows, self.weights.indices.astype(np.int64), self.weights.data
 
 

@@ -170,13 +170,3 @@ def write_csv(field, path):
     """Write one headerless CSV row per field row; the values round-trip losslessly."""
     write_table(path, field.values.tolist())
 
-
-def read_image_csv(path) -> ImageGrid:
-    """Read an image written by :func:`write_csv`."""
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return ImageGrid(np.array(rows, dtype=np.float64))

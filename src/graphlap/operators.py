@@ -5,8 +5,9 @@ forward map, so the dot-product identity <A u, s> == <u, A* s> holds to
 rounding error.  The Radon transform is a sparse matrix held as two row
 blocks, one per half of the angles: its A gives the bytes of the product
 with the one matrix of a global assembly, and its A* the sum of the two
-blocks' transposed products.  The blur is a separable zero-padded convolution with symmetric taps (hence
-self-adjoint), built once per operator.
+blocks' transposed products.  The blur is a separable zero-padded
+convolution with symmetric taps (hence self-adjoint), built once per
+operator.
 """
 
 from __future__ import annotations
@@ -226,8 +227,8 @@ def _angle_rows(geometry: RadonGeometry, lo: int, hi: int):
     data, indices = _private_map(capacity, np.float64), _private_map(capacity, np.int32)
     indptr = np.zeros((hi - lo) * d + 1, dtype=np.int64)
     work = _AngleWork(geometry)
-
-    def place(t: int, block):
+    for t in range(lo, hi):
+        block = _angle_block(geometry, t, work)
         row = (t - lo) * d
         start = indptr[row]
         end = start + block.nnz
@@ -236,9 +237,7 @@ def _angle_rows(geometry: RadonGeometry, lo: int, hi: int):
         data[start:end] = block.data
         indices[start:end] = block.indices
         indptr[row + 1:row + d + 1] = start + block.indptr[1:]
-
-    for t in range(lo, hi):
-        place(t, _angle_block(geometry, t, work))
+        del block
     # views of exactly the entries, which scipy keeps rather than copying a
     # short slice of a longer array; scipy casts indptr to int32, the dtype
     # of a global conversion
@@ -370,6 +369,10 @@ class ScaledIdentity(LinearOperator):
     """c times the identity; handy for tests and degenerate configurations."""
 
     def __init__(self, scale: float, size: int):
+        if not (isinstance(size, numbers.Integral) and size >= 1):
+            raise ConfigurationError(f"size must be >= 1 and an integer, got {size!r}")
+        if not math.isfinite(scale):
+            raise ConfigurationError(f"scale must be finite, got {scale!r}")
         self.scale = float(scale)
         self.domain_shape = (size, size)
         self.range_shape = (size, size)

@@ -204,13 +204,6 @@ def tv_prox(b: ImageGrid, weight: float) -> ImageGrid:
     return ImageGrid(bf - weight * _divergence(px, py, g, scratch))
 
 
-def tv_energy(u: ImageGrid) -> float:
-    """Isotropic total variation with the same forward differences as tv_prox."""
-    gx, gy = np.zeros_like(u.values), np.zeros_like(u.values)
-    _forward_gradient(u.values, gx, gy)
-    return float(np.sum(np.sqrt(gx * gx + gy * gy)))
-
-
 def psi_tv(A: RadonTransform, v: Sinogram) -> ImageGrid:
     """TV denoising of the FBP image."""
     return tv_prox(psi_fbp(A, v), TV_WEIGHT)

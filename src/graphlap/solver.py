@@ -165,6 +165,8 @@ def solve(
         raise ConfigurationError(f"delta must be >= 0 and finite, got {delta}")
     if v_data.shape != A.range_shape:
         raise ConfigurationError(f"data shape {v_data.shape} does not match operator range {A.range_shape}")
+    if truth is not None and truth.shape != A.domain_shape:
+        raise ConfigurationError(f"truth shape {truth.shape} does not match operator domain {A.domain_shape}")
 
     with second_core():
         u = initial_reconstruction(A, v_data, psi)

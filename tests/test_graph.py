@@ -170,7 +170,7 @@ class TestBuild:
         rng = np.random.Generator(np.random.Philox(13))
         lap = gl.build_laplacian(gl.ImageGrid(rng.random((4, 4))), gl.GraphConfig(radius=2))
         rows, cols, _ = lap.triplets()
-        keys = rows * lap.n + cols
+        keys = rows * lap.image.values.size + cols
         assert np.all(np.diff(keys) > 0)
 
 

@@ -641,6 +641,18 @@ class TestScaledIdentity:
         assert np.array_equal(op.apply(u).values, 2.5 * np.eye(4))
         assert np.array_equal(op.adjoint(u).values, 2.5 * np.eye(4))
 
+    @pytest.mark.parametrize("scale,size,message", [
+        (1.0, 0, "size must be >= 1 and an integer"),
+        (1.0, -3, "size must be >= 1 and an integer"),
+        (1.0, 2.5, "size must be >= 1 and an integer"),
+        (math.nan, 4, "scale must be finite"),
+        (math.inf, 3, "scale must be finite"),
+        (-math.inf, 3, "scale must be finite"),
+    ], ids=["zero-size", "negative-size", "fractional-size", "nan-scale", "inf-scale", "minus-inf-scale"])
+    def test_rejects_bad_input_at_construction(self, scale, size, message):
+        with pytest.raises(gl.ConfigurationError, match=message):
+            gl.ScaledIdentity(scale, size)
+
 
 class TestNormEstimate:
     def test_identity_norm(self):

@@ -7,7 +7,7 @@ import pytest
 
 import graphlap as gl
 from graphlap import recon
-from graphlap.recon import _normal_preconditioner, filter_sinogram, initial_reconstruction, tv_energy, tv_prox
+from graphlap.recon import _normal_preconditioner, filter_sinogram, initial_reconstruction, tv_prox
 
 GEOM8 = gl.RadonGeometry(8, 6)
 RADON8 = gl.RadonTransform(GEOM8)
@@ -227,6 +227,15 @@ def reference_tv_prox(b: np.ndarray, weight: float) -> np.ndarray:
     return b - weight * divergence(px, py)
 
 
+def tv_energy(u: gl.ImageGrid) -> float:
+    """Isotropic total variation with the forward differences of ``tv_prox``
+    (0 past the last column and row): the objective its prox lowers."""
+    b = u.values
+    gx = np.diff(b, axis=1, append=b[:, -1:])
+    gy = np.diff(b, axis=0, append=b[-1:, :])
+    return float(np.sum(np.sqrt(gx * gx + gy * gy)))
+
+
 class TestTvProx:
     def test_constant_image_unchanged(self):
         b = gl.ImageGrid(np.full((12, 12), 0.6))
@@ -257,18 +266,12 @@ class TestTvProx:
         out = tv_prox(noisy, 0.2)
         assert tv_energy(out) < tv_energy(noisy)
 
-    def test_tv_energy_of_constant_is_zero(self):
-        assert tv_energy(gl.ImageGrid(np.full((5, 5), 2.0))) == 0.0
-
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (33, 17), (128, 128)])
     def test_bytes_equal_fresh_array_loop(self, shape):
         rng = np.random.Generator(np.random.Philox(72))
         b = rng.random(shape)
         for weight in (recon.TV_WEIGHT, 0.03):
             assert tv_prox(gl.ImageGrid(b), weight).values.tobytes() == reference_tv_prox(b, weight).tobytes()
-        gx = np.diff(b, axis=1, append=b[:, -1:])
-        gy = np.diff(b, axis=0, append=b[-1:, :])
-        assert tv_energy(gl.ImageGrid(b)) == float(np.sum(np.sqrt(gx * gx + gy * gy)))
 
     @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (2, 2)], ids=["1x7", "7x1", "2x2"])
     @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "zero"])

@@ -228,6 +228,16 @@ class TestSolve:
         with pytest.raises(gl.ConfigurationError):
             gl.solve(A, bad, 0.1, ADJOINT, gl.SolverParams())
 
+    def test_rejects_truth_off_the_domain_before_any_work(self, monkeypatch):
+        A = gl.RadonTransform(gl.RadonGeometry(32, 16))
+        v = A.apply(gl.shepp_logan(32))
+        started = []
+        monkeypatch.setattr(solver, "initial_reconstruction", lambda *args: started.append(args))
+        with pytest.raises(gl.ConfigurationError, match=r"truth shape \(16, 16\) does not match operator domain"):
+            gl.solve(A, v, 0.1, ADJOINT, gl.SolverParams(), truth=gl.shepp_logan(16))
+        assert not started
+        assert "norm_estimate" not in vars(A)
+
     def test_stops_at_index_zero_when_data_already_explained(self):
         A, truth, clean, noisy, delta = ct16_problem()
         u0 = gl.initial_reconstruction(A, clean, ADJOINT)
