@@ -127,6 +127,10 @@ def parse_config(argv) -> ExperimentConfig:
     if config.problem != "laplacian_demo" and config.size < SSIM_WINDOW:
         raise ConfigurationError(f"size must be >= {SSIM_WINDOW} for {config.problem}, got {config.size}: "
                                  f"ssim needs a {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    out = Path(config.out)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"--out {config.out}: {existing} exists and is not a directory")
     # built here only for their checks, so that a bad value fails before any output is written
     _solver_params(config)
     NoiseSpec(delta_rel=config.delta_rel, seed=config.seed)

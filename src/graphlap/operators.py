@@ -180,24 +180,6 @@ def _angle_block(geometry: RadonGeometry, t: int, work: _AngleWork):
     return block
 
 
-def _block_capacities(geometry: RadonGeometry) -> np.ndarray:
-    """Per angle, at most how many entries its rays put into the matrix,
-    shape ``(num_angles,)``.
-
-    A sample point (px, py) reaches the pixels (x0 + {0, 1}, y0 + {0, 1}) of
-    its floor (x0, y0): at most 4 entries, and merging duplicates only lowers
-    that.  With E the image side, it can reach a pixel only inside the
-    square [-1, E) x [-1, E), of side w = E + 1.  A ray's unit-spaced
-    samples put at most chord + 1 of their points in it, and one more at
-    each end for rounding, so the d rays add 3 d to their chords.  The chord
-    of a convex set is concave in the ray offset, and the rays are parallel
-    and unit-spaced, so at every angle their chords sum to at most area +
-    diagonal: each angle gets 4 ceil(w^2 + hypot(w, w) + 3 d).
-    """
-    w, d = geometry.image_size + 1, geometry.num_detectors
-    return np.full(geometry.num_angles, 4 * math.ceil(w * w + math.hypot(w, w) + 3 * d), dtype=np.int64)
-
-
 def _private_map(count: int, dtype) -> np.ndarray:
     """``count`` zeros of ``dtype`` on a private anonymous map of their own.
 
@@ -216,24 +198,24 @@ def _angle_rows(geometry: RadonGeometry, lo: int, hi: int):
 
     Each angle's entries (``_angle_block``) go into the final ``data`` and
     ``indices`` arrays as soon as they are built, so at most one angle's
-    entries are alive at a time.  The arrays are allocated at a bound on the
-    entries that the geometry alone gives (``_block_capacities``), on private
-    anonymous maps (``_private_map``), so capacity the angles do not reach is
-    never resident; the matrix holds exact-length views on the maps, which
-    are unmapped with it.
+    entries are alive at a time.  Each angle gets the workspace's slots,
+    ``work.w.size`` entries: its entries are masked from them, and merging
+    duplicates only lowers their count.  The arrays live on private anonymous
+    maps (``_private_map``), so only the pages the entries touch are
+    resident, though under strict overcommit the whole reservation counts
+    against the commit limit.  The matrix holds exact-length views on the
+    maps, which are unmapped with it.
     """
     d = geometry.num_detectors
-    capacity = int(_block_capacities(geometry)[lo:hi].sum())
-    data, indices = _private_map(capacity, np.float64), _private_map(capacity, np.int32)
-    indptr = np.zeros((hi - lo) * d + 1, dtype=np.int64)
     work = _AngleWork(geometry)
+    slots = (hi - lo) * work.w.size
+    data, indices = _private_map(slots, np.float64), _private_map(slots, np.int32)
+    indptr = np.zeros((hi - lo) * d + 1, dtype=np.int64)
     for t in range(lo, hi):
         block = _angle_block(geometry, t, work)
         row = (t - lo) * d
         start = indptr[row]
         end = start + block.nnz
-        if end > capacity:
-            raise RuntimeError(f"Radon angles [{lo}, {hi}) outgrew their capacity {capacity} at angle {t}")
         data[start:end] = block.data
         indices[start:end] = block.indices
         indptr[row + 1:row + d + 1] = start + block.indptr[1:]
@@ -255,7 +237,10 @@ def _radon_matrix(geometry: RadonGeometry):
     is built, through ``fork_join``, on the worker (``_angle_rows``).  Each
     ray is one row, and each angle's entries reach the sort ray by ray, in
     the order one global conversion gives it, so the two blocks are that
-    conversion's rows, byte for byte, whichever thread built them.
+    conversion's rows, byte for byte, whichever thread built them.  Each
+    block reserves its workspace's slots for every angle, at 128^2 about 3.7
+    times the entries it keeps; only the touched pages are resident, but
+    under strict overcommit all of it counts against the commit limit.
     """
     half = (geometry.num_angles + 1) // 2
     return fork_join(lambda: _angle_rows(geometry, 0, half),

@@ -46,8 +46,8 @@ def rasterize_ellipses(size: int, ellipses) -> ImageGrid:
     box, padded by one pixel; every pixel outside that box is outside the
     ellipse, so the result equals a test over the whole grid.
     """
-    if size < 1:
-        raise ConfigurationError(f"size must be >= 1, got {size}")
+    if not (isinstance(size, numbers.Integral) and size >= 1):
+        raise ConfigurationError(f"size must be >= 1 and an integer, got {size!r}")
     # pixel centers on [-1, 1]^2, y axis pointing up
     xs = (2.0 * np.arange(size) + 1.0) / size - 1.0
     out = np.zeros((size, size), dtype=np.float64)

@@ -106,6 +106,16 @@ def test_bad_cell_exits_two_before_any_solve(tmp_path, argv, message):
     assert not out.exists()
 
 
+def test_out_naming_a_file_exits_two_before_any_solve(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    proc = run_script(*SMOKE, "--levels", "0.05", "--out", str(taken))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "is not a directory" in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+    assert taken.read_text() == "kept\n"
+
+
 def test_diverged_solve_is_a_row(tmp_path):
     proc = run_script("--problem", "ct", "--size", "16", "--angles", "10", "--eta0", "1e12", "--eta1", "1e12",
                       "--levels", "0", "--psis", "adjoint", "--out", str(tmp_path))

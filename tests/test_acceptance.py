@@ -4,12 +4,13 @@ Each test registers its verdict with :func:`conftest.record_criterion` before
 asserting, so the terminal summary always lists every criterion.
 
 Criterion 7 is red on purpose: it pins RE <= 0.15 and SSIM >= 0.93 at 5% noise
-(CT 128^2, 60 angles, adjoint start), and the solver stops there at RE 1.30 and
-SSIM 0.21 after 160 steps, worse than the zero image.  The cause is scale: with
-||A|| ~ 86 the adjoint start has norm ~1.3e5 against 32 for the phantom, so
-every graph weight exp(-d^2/sigma) underflows to ~0 and the graph term does
-nothing.  The pinned pair stays as stated until the solver is fixed; the
-failure message reports only what the test measures.
+(CT 128^2, 60 angles, adjoint start), and the solver stops there worse than the
+zero image; README's Testing section and the test's failure message give the
+numbers it reads.  The cause is scale: with ||A|| ~ 86 the adjoint start has
+norm ~1.3e5 against 32 for the phantom, so every graph weight exp(-d^2/sigma)
+underflows to ~0 and the graph term does nothing.  The pinned pair stays as
+stated until the solver is fixed; the failure message reports only what the
+test measures.
 """
 
 import math

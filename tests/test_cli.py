@@ -282,6 +282,16 @@ class TestExitCodes:
             assert not out.exists(), argv
         assert cli.main([]) == 2
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_out_naming_a_file_exits_two_before_any_solve(self, monkeypatch, capsys, tmp_path, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+        assert cli.main(["--problem", "ct", "--size", "16", "--out", str(taken / below)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "is not a directory" in err, err
+        assert taken.read_text() == "kept\n"
+
     def test_divergence_exits_three_with_partial_trace(self, tmp_path):
         with np.errstate(all="ignore"):
             rc = cli.main(["--problem", "ct", "--size", "16", "--angles", "10",

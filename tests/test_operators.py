@@ -107,8 +107,6 @@ def matrix_bytes(blocks):
 # from a 2x2 image seen at one angle up, whose second row block is empty;
 # the odd angle counts give the calling thread's block one angle more
 BIT_GEOMETRIES = [(2, 1), (3, 2), (9, 5), (16, 7), (33, 10), (37, 13), (64, 30)]
-# plus the benchmark image size, and many angles on small images
-CAPACITY_GEOMETRIES = BIT_GEOMETRIES + [(128, 60), (8, 64), (17, 64)]
 # outside a solve the halves run one after the other on the calling thread;
 # inside a solve's worker block the second half runs on the worker
 SERIAL_AND_SPLIT = (contextlib.nullcontext, second_core)
@@ -444,47 +442,6 @@ print((peak - baseline) / size)
             m1, m2 = _radon_matrix(geom)
         assert len(alive) == 20 and max(alive) == 0, alive
         assert_blocks_equal_global_assembly(m1, m2, geom)
-
-    @pytest.mark.parametrize("size,angles", CAPACITY_GEOMETRIES)
-    def test_capacities_bound_the_raw_entries_of_every_angle(self, monkeypatch, size, angles):
-        # the entries each angle gathers before duplicates merge, counted on
-        # their way into the angle's (d, E^2) CSR matrix
-        geom = gl.RadonGeometry(size, angles)
-        raw = []
-        csr_matrix = sparse.csr_matrix
-
-        def counted(arg, shape):
-            if shape == (geom.num_detectors, size * size):
-                raw.append(arg[1].size)
-            return csr_matrix(arg, shape=shape)
-
-        monkeypatch.setattr(operators.sparse, "csr_matrix", counted)
-        work = operators._AngleWork(geom)
-        for t in range(angles):
-            operators._angle_block(geom, t, work)
-        capacities = operators._block_capacities(geom)
-        assert capacities.shape == (angles,) and len(raw) == angles
-        assert np.all(np.array(raw) <= capacities), np.argwhere(np.array(raw) > capacities)
-
-    @pytest.mark.parametrize("where", SERIAL_AND_SPLIT, ids=["serial", "split"])
-    def test_capacity_one_entry_short_raises(self, monkeypatch, where):
-        # an exact capacity fills both row blocks to the last slot; one entry
-        # less and the last angle of that block overflows
-        geom = gl.RadonGeometry(16, 7)
-        m1, m2 = _radon_matrix(geom)
-        exact = np.zeros(7, dtype=np.int64)
-        exact[0], exact[4] = m1.nnz, m2.nnz  # angles [0, 4) and [4, 7)
-        monkeypatch.setattr(operators, "_block_capacities", lambda g: exact)
-        with where():
-            m1, m2 = _radon_matrix(geom)
-        assert m1.data.size + m2.data.size == exact.sum()
-        assert_blocks_equal_global_assembly(m1, m2, geom)
-        for first, (lo, hi) in ((0, (0, 4)), (4, (4, 7))):
-            short = exact.copy()
-            short[first] -= 1
-            monkeypatch.setattr(operators, "_block_capacities", lambda g: short)
-            with where(), pytest.raises(RuntimeError, match=rf"angles \[{lo}, {hi}\) outgrew their capacity .* at angle {hi - 1}"):
-                _radon_matrix(geom)
 
     def test_shape_validation(self):
         A = gl.RadonTransform(gl.RadonGeometry(8, 5))

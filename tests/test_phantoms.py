@@ -64,6 +64,11 @@ class TestPhantom:
         with pytest.raises(gl.ConfigurationError):
             rasterize_ellipses(0, SHEPP_LOGAN_ELLIPSES)
 
+    @pytest.mark.parametrize("size", [7.5, np.float64(8.0), "8"], ids=["float", "numpy-float", "string"])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(gl.ConfigurationError, match="size must be >= 1 and an integer"):
+            gl.shepp_logan(size)
+
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 33, 64, 128, 255])
     def test_bounding_box_matches_full_grid_on_shepp_logan(self, size):
         assert np.array_equal(gl.shepp_logan(size).values,
