@@ -24,6 +24,21 @@ W, the degrees and the (i, j, w) triplets are asked for (the graph dumps and
 the tests).  Nothing is cached between builds.  Weights are kept however small
 they are, so the exported structure holds every within-radius pair.
 
+From SPLIT_PIXELS = 2^16 pixels (256^2) up, a pass runs as two pixel
+ranges, the rows below the middle one and the rest, through one fork
+(``graphlap.forkjoin``); in a solve's loop the calling thread takes the
+upper range once A and A* are done.  Each range reads or evaluates every
+band only on the pairs with a pixel in it, writes only its own pixels of
+the result and of any kept band, and evaluates the weights of the pairs
+reaching below it again in its own scratch.  Each pixel sums its band terms
+in the order of one pass, so every byte is the same.  The gate is by size
+because two threads lose on small images, where ufunc calls of about 8K
+elements hand the GIL back and forth: an evaluating pass takes 5.2-7.3 ms
+serial against 9.3-14.8 ms as two forked ranges at 128^2, and 22.2-24.0
+against 16.2-20.1 ms at 256^2; a stored-band pass 13.2-13.8 against
+8.1-11.1 ms at 256^2 (medians of 30 in five runs, 2-vCPU Xeon,
+``BENCH_offered_halves.json``).
+
 Weights that underflow cost what the others cost.  numpy's vectorized float64
 ``exp`` leaves its fast path for arguments below about -707.8: over 16,384
 equal arguments it takes 15-22 us at -1 and -700, 300-330 us at -707.8,
@@ -54,6 +69,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, ShapeMismatch
+from .forkjoin import fork_join
 from .grid import ImageGrid, write_table
 
 METRICS = ("manhattan", "chebyshev")
@@ -65,6 +81,9 @@ EXP_UNDERFLOW = -746.0
 # a band is clamped while at least 1/CLAMP_SHARE of its arguments lie below the
 # floor; on fewer the mask passes cost more than np.exp's slow lanes
 CLAMP_SHARE = 64
+# images of at least this many pixels evaluate the graph term in two forked
+# pixel ranges; below it, two threads lose to one (module docstring)
+SPLIT_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -132,6 +151,34 @@ def _clamped_exp(t: np.ndarray, low: np.ndarray) -> None:
     t[near] = np.exp(args)
 
 
+def _weigh(d: np.ndarray, w: np.ndarray, rows: np.ndarray, dj: int, sigma: float, clamp: bool) -> bool:
+    """d <- d * w for the weights w of the differences d; returns whether the
+    next band is counted.
+
+    ``w`` lies in ``rows``, a (k, width) view with the image's columns, so
+    the pairs that wrap across a row edge fill whole columns of it, where
+    w = 0.  Elsewhere w = exp(d * d / -sigma) (dividing by -sigma rounds
+    exactly like negating and then dividing by sigma), through
+    ``_clamped_exp`` while ``clamp`` (module docstring).
+    """
+    np.multiply(d, d, out=w)
+    np.divide(w, -sigma, out=w)
+    if clamp:
+        low = w < FAST_EXP_FLOOR
+        clamp = np.count_nonzero(low) * CLAMP_SHARE >= w.size
+    if clamp:
+        _clamped_exp(w, low)
+    else:
+        np.exp(w, out=w)
+    width = rows.shape[1]
+    if dj > 0:
+        rows[:, width - dj:] = 0.0
+    elif dj < 0:
+        rows[:, :-dj] = 0.0
+    d *= w
+    return clamp
+
+
 def _valid(height: int, width: int, dj: int, s: int) -> np.ndarray:
     """Flat indices p whose pair (p, p + s) does not wrap across a row edge."""
     p = np.arange(height * width - s)
@@ -166,9 +213,9 @@ class SparseLaplacian:
         if x.shape != self.image.shape:
             raise ShapeMismatch(f"image shape {x.shape} does not match grid {self.image.shape}")
         if x is self.image and self._bands is None:
-            out = self._pass(x, keep=self.reuse)
+            out = self._halves(x, keep=self.reuse)
         else:
-            out = self._pass(x, self.bands)
+            out = self._halves(x, self.bands)
         return ImageGrid(out.reshape(self.image.shape))
 
     @property
@@ -176,59 +223,73 @@ class SparseLaplacian:
         """One weight array per shift s of ``_shifts``: ``w[p]`` is the weight of
         pixels p and p + s, 0 where that pair wraps across a row edge."""
         if self._bands is None:
-            self._pass(self.image, keep=True)
+            self._halves(self.image, keep=True)
         return self._bands
 
-    def _pass(self, x: ImageGrid, bands=None, keep=False) -> np.ndarray:
-        """Delta x as a flat array, one offset of the half-set at a time.
+    def _halves(self, x: ImageGrid, bands=None, keep=False) -> np.ndarray:
+        """Delta x as a flat array, from one ``_pass`` over every pixel or,
+        from SPLIT_PIXELS up, two forked ones split at the middle row;
+        ``keep`` stores the bands they evaluate."""
+        height, width = x.shape
+        n = height * width
+        shifts = [s for _, s in _shifts(self.config, height, width)]
+        padded = [np.empty(n, dtype=np.float64) for _ in shifts] if keep else None
+        if n < SPLIT_PIXELS:
+            out = self._pass(x, 0, n, bands, padded)
+        else:
+            mid = height // 2 * width
+            out = np.concatenate(fork_join(lambda: self._pass(x, 0, mid, bands, padded),
+                                           lambda: self._pass(x, mid, n, bands, padded)))
+        if keep:
+            self._bands = tuple(w[:n - s] for w, s in zip(padded, shifts))
+        return out
 
-        With ``bands`` the stored weights are applied.  Without, x is the
-        build image and each band's weights are evaluated from the difference
-        already in hand, w = exp(d * d / -sigma) (dividing by -sigma rounds
-        exactly like negating and then dividing by sigma); ``keep`` stores
-        them, otherwise one scratch buffer serves every band.  Bands with
-        many underflowing arguments go through ``_clamped_exp`` (module
-        docstring).
+    def _pass(self, x: ImageGrid, p0: int, p1: int, bands=None, keep=None) -> np.ndarray:
+        """Delta x on the pixels [p0, p1) as a flat array, one offset of the
+        half-set at a time.
+
+        Each band is read or evaluated on the pairs q in [max(p0 - s, 0),
+        min(p1, n - s)), the pairs with a pixel in the range: its term is
+        added to the first pixel and subtracted from the second where that
+        pixel is in the range, band after band, so every pixel sums its terms
+        in the order of a pass over the whole image.  With ``bands`` the
+        stored weights are applied.  Without, x is the build image and each
+        band's weights are evaluated from the difference already in hand
+        (``_weigh``).  ``keep``, one n-entry array per band, takes the weights
+        of the pairs whose first pixel is in the range; those of the pairs
+        below p0 are evaluated again in scratch, never written there.
         """
         height, width = x.shape
         n = height * width
+        sigma = self.config.sigma
         flat = x.values.ravel()
-        out = np.zeros(n, dtype=np.float64)
+        out = np.zeros(p1 - p0, dtype=np.float64)
         diff = np.empty(n, dtype=np.float64)
-        scratch = np.empty(n, dtype=np.float64) if bands is None and not keep else None
+        if bands is None:
+            # row r of scratch holds the pairs of image row r + lo // width
+            spare = np.empty(n, dtype=np.float64)
+            scratch = spare.reshape(height, width)
         clamp = bands is None
-        kept = []
         for i, (dj, s) in enumerate(_shifts(self.config, height, width)):
-            m = n - s
-            d = diff[:m]
-            np.subtract(flat[:m], flat[s:], out=d)
-            if bands is None:
-                # the band is padded to n entries so its rows line up with the image
-                padded = np.empty(n, dtype=np.float64) if keep else scratch
-                w = padded[:m]
-                np.multiply(d, d, out=w)
-                np.divide(w, -self.config.sigma, out=w)
-                if clamp:
-                    low = w < FAST_EXP_FLOOR
-                    clamp = np.count_nonzero(low) * CLAMP_SHARE >= m
-                if clamp:
-                    _clamped_exp(w, low)
-                else:
-                    np.exp(w, out=w)
-                rows = padded.reshape(height, width)
-                if dj > 0:
-                    rows[:, width - dj:] = 0.0
-                elif dj < 0:
-                    rows[:, :-dj] = 0.0
-                if keep:
-                    kept.append(w)
+            lo = p0 - s if p0 > s else 0
+            hi = p1 if p1 < n - s else n - s
+            d = diff[:hi - lo]
+            np.subtract(flat[lo:hi], flat[lo + s:hi + s], out=d)
+            if bands is not None:
+                d *= bands[i][lo:hi]
+            elif keep is None:
+                clamp = _weigh(d, spare[lo % width:lo % width + d.size], scratch, dj, sigma, clamp)
             else:
-                w = bands[i]
-            d *= w
-            out[:m] += d
-            out[s:] -= d
-        if keep:
-            self._bands = tuple(kept)
+                cut = min(p0, hi) - lo
+                if cut:
+                    clamp = _weigh(d[:cut], spare[lo % width:lo % width + cut], scratch, dj, sigma, clamp)
+                if cut < d.size:
+                    own = keep[i].reshape(height, width)[p0 // width:p1 // width]
+                    clamp = _weigh(d[cut:], keep[i][p0:hi], own, dj, sigma, clamp)
+            if hi > p0:  # the pairs whose first pixel is in the range
+                out[:hi - p0] += d[p0 - lo:]
+            if p1 - s > lo:  # and those whose second pixel is
+                out[lo + s - p0:] -= d[:p1 - s - lo]
         return out
 
     @cached_property

@@ -10,8 +10,10 @@ On a rebuild step Delta_{u_k} u_k comes from one pass over the weight bands,
 which are stored only when a later step will reuse the graph (period > 1
 and k < max_iter); the old graph is released before the new one is
 evaluated.
-The graph term is forked beside A u_k - v and A* r_k, with the same bytes
-as a serial evaluation; ``graphlap.forkjoin`` says which thread runs what.
+The graph term is forked onto the worker beside A u_k - v and A* r_k, and
+a fork inside either branch offers its second half to the thread that is
+done first, with the same bytes as a serial evaluation;
+``graphlap.forkjoin`` says which thread runs what.
 Both step sizes adapt to the residual r_k = A u_k - v:
 
     alpha_k = min(eta0 ||r||^2 / ||A* r||^2, eta1)

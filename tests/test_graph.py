@@ -1,5 +1,6 @@
 """Graph Laplacian construction, its algebraic invariants and the Lipschitz bound."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import graphlap as gl
 from graphlap import graph
+from graphlap.forkjoin import second_core
 from graphlap.graph import SparseLaplacian, _shifts
 
 DEMO = gl.ImageGrid([[0.2, 0.3], [0.5, 0.1]])
@@ -178,12 +180,11 @@ class PlainExpLaplacian(SparseLaplacian):
     """The Laplacian with every weight band evaluated by plain np.exp: the
     reference the clamped evaluation must match bit for bit."""
 
-    def _pass(self, x, bands=None, keep=False):
+    def _pass(self, x, p0, p1, bands=None, keep=None):
         height, width = x.shape
         n = height * width
         flat = x.values.ravel()
         out = np.zeros(n)
-        kept = []
         for i, (dj, s) in enumerate(_shifts(self.config, height, width)):
             m = n - s
             d = flat[:m] - flat[s:]
@@ -196,15 +197,14 @@ class PlainExpLaplacian(SparseLaplacian):
                 elif dj < 0:
                     rows[:, :-dj] = 0.0
                 w = padded[:m]
-                kept.append(w)
+                if keep is not None:
+                    keep[i][p0:p1] = padded[p0:p1]
             else:
                 w = bands[i]
             d *= w
             out[:m] += d
             out[s:] -= d
-        if keep:
-            self._bands = tuple(kept)
-        return out
+        return out[p0:p1]
 
 
 # weight arguments -d^2/sigma around np.exp's edges: the clamp floor, where
@@ -282,7 +282,7 @@ class TestWeightUnderflow:
                     got = gl.build_laplacian(image, cfg, reuse=reuse)
                     ref = PlainExpLaplacian(image, cfg, reuse=reuse)
                     # what the first apply to the build image computes
-                    assert_same_bits(got._pass(image, keep=reuse), ref._pass(image, keep=reuse))
+                    assert_same_bits(got._halves(image, keep=reuse), ref._halves(image, keep=reuse))
                     if np.isfinite(image.values).all():
                         assert_same_bits(gl.build_laplacian(image, cfg, reuse=reuse).apply(image).values,
                                          PlainExpLaplacian(image, cfg, reuse=reuse).apply(image).values)
@@ -291,6 +291,57 @@ class TestWeightUnderflow:
                 assert np.array_equal(weights.indices, want.weights.indices)
                 assert np.array_equal(weights.indptr, want.weights.indptr)
         assert clamped, "no band took the clamped evaluation"
+
+
+@pytest.fixture(scope="module")
+def noisy_256():
+    """A 256^2 noisy phantom, the smallest square image the graph term splits,
+    and another image to apply the stored bands to."""
+    truth = gl.shepp_logan(256)
+    rng = np.random.Generator(np.random.Philox(16))
+    image = gl.ImageGrid(truth.values + 0.05 * rng.standard_normal(truth.shape))
+    assert image.values.size == graph.SPLIT_PIXELS
+    return image, gl.ImageGrid(rng.random(truth.shape))
+
+
+class TestPixelHalves:
+    """From SPLIT_PIXELS pixels up the graph term runs as two pixel ranges,
+    forked inside second_core() and one after the other outside it; every
+    byte is the whole-image pass's."""
+
+    @pytest.mark.parametrize("where", [contextlib.nullcontext, second_core])
+    @pytest.mark.parametrize("metric", ["manhattan", "chebyshev"])
+    def test_apply_and_bands_equal_the_whole_image_pass(self, noisy_256, metric, where):
+        image, other = noisy_256
+        cfg = gl.GraphConfig(metric=metric)
+        ref = PlainExpLaplacian(image, cfg)
+        want, want_other = ref.apply(image).values, ref.apply(other).values
+        with where():
+            for reuse in (False, True):
+                kept = gl.build_laplacian(image, cfg, reuse=reuse)
+                assert_same_bits(kept.apply(image).values, want)
+            # the first apply kept the bands, from two ranges
+            for got, band in zip(kept.bands, ref.bands, strict=True):
+                assert_same_bits(got, band)
+            assert_same_bits(kept.apply(other).values, want_other)
+            # the bands asked for before any apply
+            assert_same_bits(gl.build_laplacian(image, cfg).apply(other).values, want_other)
+
+    @pytest.mark.parametrize("where", [contextlib.nullcontext, second_core])
+    @pytest.mark.parametrize("metric", ["manhattan", "chebyshev"])
+    def test_weights_after_a_split_keep_pass(self, noisy_256, metric, where):
+        # radius 2 keeps the explicit matrix small; its bands still reach
+        # two rows across the cut
+        image, _ = noisy_256
+        cfg = gl.GraphConfig(radius=2.0, metric=metric)
+        want = PlainExpLaplacian(image, cfg).weights
+        with where():
+            lap = gl.build_laplacian(image, cfg, reuse=True)
+            lap.apply(image)
+            weights = lap.weights
+        assert_same_bits(weights.data, want.data)
+        assert np.array_equal(weights.indices, want.indices)
+        assert np.array_equal(weights.indptr, want.indptr)
 
 
 @pytest.fixture(scope="module")

@@ -237,12 +237,27 @@ class TestRadonTransform:
         assert_blocks_equal_global_assembly(A._m1, A._m2, geom)
 
     def test_assembly_in_a_fork_branch_stays_on_its_thread(self, monkeypatch):
-        # the branches' worker is taken, so each operator built in a branch
-        # assembles both halves, every angle in order, on that branch's thread
+        # each operator is built in a fork's branch while the other thread is
+        # held in its own, so nobody takes the later angles it offers: both
+        # halves, every angle in order, are assembled on that branch's thread
         threads = assembly_threads(monkeypatch)
         geom = gl.RadonGeometry(16, 7)
+        main_built, worker_built = threading.Event(), threading.Event()
+
+        def here():
+            A = gl.RadonTransform(geom)
+            main_built.set()
+            assert worker_built.wait(10)
+            return A
+
+        def there():
+            assert main_built.wait(10)
+            A = gl.RadonTransform(geom)
+            worker_built.set()
+            return A
+
         with second_core():
-            built = fork_join(lambda: gl.RadonTransform(geom), lambda: gl.RadonTransform(geom))
+            built = fork_join(here, there)
         assert threading.get_ident() in threads
         assert list(threads.values()) == [list(range(7))] * 2
         for A in built:

@@ -432,28 +432,65 @@ class TestMatvecHalves:
             assert {t for name, t in calls if name == kernel} == workers | {main}, kernel
         assert threading.active_count() == before
 
-    def test_loop_halves_stay_on_the_calling_thread(self, monkeypatch):
-        # the loop's fork holds the worker for the graph term, so A and A*
-        # run both their halves where the loop runs
+    def test_loop_halves_stay_on_the_calling_thread_while_the_graph_term_runs(self, monkeypatch):
+        # the graph term on the worker waits until A and A* are done, so the
+        # halves they offer find nobody to take them and run where A runs
         A, truth, clean, noisy, delta = ct16_problem()
         A.norm_estimate
         u0 = A.adjoint(noisy)
         monkeypatch.setattr(solver, "initial_reconstruction", lambda A, v, spec: u0)
         calls = record_matvec_threads(monkeypatch)
         graph_threads = []
-        apply = SparseLaplacian.apply
+        gradient_done = threading.Event()
+        apply, gradient = SparseLaplacian.apply, solver._residual_and_gradient
 
         def recording(self, x):
+            assert gradient_done.wait(10)
+            gradient_done.clear()
             graph_threads.append(threading.get_ident())
             return apply(self, x)
 
+        def signalling(*args):
+            result = gradient(*args)
+            gradient_done.set()
+            return result
+
         monkeypatch.setattr(SparseLaplacian, "apply", recording)
+        monkeypatch.setattr(solver, "_residual_and_gradient", signalling)
         res = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=3))
         main = threading.get_ident()
         # A and A*: one call per row block each
         assert len(calls) == 4 * len(res.trace)
         assert {t for _, t in calls} == {main}
         assert len(graph_threads) == len(res.trace) and main not in graph_threads
+
+    def test_a_worker_done_with_the_graph_term_takes_the_offered_halves(self, monkeypatch):
+        # each calling-thread half of A and A* waits until the worker, idle
+        # once the graph term is done, has started the other half
+        A, truth, clean, noisy, delta = ct16_problem()
+        A.norm_estimate
+        u0 = A.adjoint(noisy)
+        monkeypatch.setattr(solver, "initial_reconstruction", lambda A, v, spec: u0)
+        main = threading.get_ident()
+        calls = []
+        taken = threading.Event()
+        for name in ("csr_matvec", "csc_matvec"):
+            def recording(*args, _name=name, _kernel=getattr(_sparsetools, name)):
+                calls.append((_name, threading.get_ident()))
+                if threading.get_ident() == main:
+                    assert taken.wait(10)
+                    taken.clear()
+                else:
+                    taken.set()
+                return _kernel(*args)
+
+            monkeypatch.setattr(_sparsetools, name, recording)
+        res = gl.solve(A, noisy, delta, ADJOINT, gl.SolverParams(max_iter=3))
+        workers = {t for _, t in calls} - {main}
+        assert len(workers) == 1
+        for kernel in ("csr_matvec", "csc_matvec"):
+            on_main = [t == main for name, t in calls if name == kernel]
+            assert on_main.count(True) == on_main.count(False) == len(res.trace), kernel
 
     def test_worker_half_error_surfaces_after_the_join(self, monkeypatch):
         main = threading.get_ident()
